@@ -468,34 +468,6 @@ func BenchmarkAblationOracle(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationFixed384 compares the general slice-based HP(6,3)
-// accumulator against the array-based, fully unrolled specialization.
-func BenchmarkAblationFixed384(b *testing.B) {
-	xs := uniformSet(1 << 14)
-	b.Run("general_slice", func(b *testing.B) {
-		acc := core.NewAccumulator(core.Params384)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			acc.Reset()
-			acc.AddAll(xs)
-		}
-		if acc.Err() != nil {
-			b.Fatal(acc.Err())
-		}
-	})
-	b.Run("fixed_unrolled", func(b *testing.B) {
-		acc := core.NewAccum384()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			acc.Reset()
-			acc.AddAll(xs)
-		}
-		if acc.Err() != nil {
-			b.Fatal(acc.Err())
-		}
-	})
-}
-
 // BenchmarkAblationKernelShape compares the paper's Figure 7 kernel
 // (per-element atomics into 256 shared partials) against the classic
 // shared-memory block-tree reduction with one atomic per block.

@@ -1,8 +1,8 @@
 // Command benchsum is the reproducible summation benchmark runner behind
 // BENCH_sum.json. It times one pass over a fixed pseudorandom workload
 // through each HP summation path — the pre-PR Listing 1+2 loop, the fused
-// sparse kernel, the carry-save batch kernel, the exponent-indexed
-// superaccumulator (plus its forced-spill stress), the omp reduction, the
+// sparse kernel, the exponent-indexed superaccumulator (plus its
+// forced-spill stress), the omp reduction, the
 // atomic XADD/CAS/bulk-flush accumulators, the two-phase scan, and the
 // gossip-convergence cluster sweep (nodes x fanout, frames/sec plus
 // rounds-to-convergence) — and writes a schema-tagged JSON report with throughput, speedup over the
@@ -57,7 +57,7 @@ type config struct {
 // guarded alongside the hot loops: the spill fold is the fixed cost every
 // superaccumulator pays, and a regression there hides inside serial-super's
 // amortization until the spill cadence changes.
-var guardedWorkloads = []string{"serial-fused", "serial-batch", "serial-super", "super-spill"}
+var guardedWorkloads = []string{"serial-fused", "serial-super", "super-spill"}
 
 const maxSpeedupDrop = 0.25
 
@@ -197,11 +197,6 @@ func workloads(cfg config) []workload {
 			acc.AddAll(xs)
 			return acc.Float64(), acc.Err()
 		}},
-		{"serial-batch", 1, true, 0, func(xs []float64) (float64, error) {
-			b := core.NewBatch(p)
-			b.AddSlice(xs)
-			return b.Float64(), b.Err()
-		}},
 		{"serial-super", 1, true, 0, func(xs []float64) (float64, error) {
 			s := core.NewSuper(p)
 			s.AddSlice(xs)
@@ -272,9 +267,9 @@ func workloads(cfg config) []workload {
 				}
 				return dst.Snapshot().Float64(), nil
 			}},
-			// Bulk flush: each thread folds its block through a local batch
-			// and lands it in the shared accumulator with one full-width
-			// atomic pass — the AtomicArray.AddSlice path.
+			// Bulk flush: each thread folds its block through a local
+			// superaccumulator and lands it in the shared accumulator with
+			// one full-width atomic pass — the AtomicArray.AddSlice path.
 			workload{"atomic-batch", workers, true, 0, func(xs []float64) (float64, error) {
 				bank := core.NewAtomicArray(p, workers)
 				errs := make([]error, workers)

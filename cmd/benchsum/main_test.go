@@ -30,7 +30,7 @@ func TestRunProducesValidReport(t *testing.T) {
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"serial-legacy", "serial-fused", "serial-batch"} {
+	for _, name := range []string{"serial-legacy", "serial-fused", "serial-super"} {
 		if r.LookupWorkers(name, 1) == nil {
 			t.Errorf("workload %q missing from report", name)
 		}
@@ -136,7 +136,7 @@ func TestRegressionGate(t *testing.T) {
 	slow := *cur
 	slow.Workloads = append([]bench.Workload(nil), cur.Workloads...)
 	for i := range slow.Workloads {
-		if slow.Workloads[i].Name == "serial-batch" {
+		if slow.Workloads[i].Name == "serial-super" {
 			slow.Workloads[i].Speedup /= 10
 		}
 	}

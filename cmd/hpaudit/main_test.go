@@ -40,9 +40,9 @@ func writeAuditedRun(t *testing.T, jpath, lpath string) string {
 	if err := s.CloseAudit(); err != nil {
 		t.Fatal(err)
 	}
-	b := core.NewBatch(core.Params384)
-	b.AddSlice(xs)
-	txt, err := b.Sum().MarshalText()
+	acc := core.NewSuper(core.Params384)
+	acc.AddSlice(xs)
+	txt, err := acc.Sum().MarshalText()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,6 +218,12 @@ func run(args []string, ready chan<- string) error {
 		fmt.Fprintf(os.Stderr, "hpsumd: gossiping as %s (epoch %d, %d seed(s), every %s, fanout %d)\n",
 			id, epoch, len(seeds), *gossipEvery, *gossipFan)
 	}
+	// Register for the shutdown signals before announcing ready: a SIGTERM
+	// that arrives right after the announcement must be caught, not take
+	// the default action and kill the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	if ready != nil {
 		ready <- srv.Addr()
 	}
@@ -245,9 +251,6 @@ func run(args []string, ready chan<- string) error {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sig)
 	got := <-sig
 	fmt.Fprintf(os.Stderr, "hpsumd: %s: shutting down\n", got)
 

@@ -19,9 +19,9 @@ import (
 // envFor sums xs serially and returns the canonical envelope plus counters.
 func envFor(t *testing.T, p core.Params, xs []float64, frames uint64) Entry {
 	t.Helper()
-	b := core.NewBatch(p)
-	b.AddSlice(xs)
-	env, err := b.Sum().MarshalBinary()
+	acc := core.NewSuper(p)
+	acc.AddSlice(xs)
+	env, err := acc.Sum().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}

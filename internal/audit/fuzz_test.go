@@ -12,9 +12,9 @@ import (
 // decoder's need() checks — a fuzz input lying about counts cannot balloon),
 // and any log that validates must re-encode to the identical image.
 func FuzzAuditLogDecode(f *testing.F) {
-	b := core.NewBatch(core.Params384)
-	b.AddSlice([]float64{1.5, -0.25, 1e-9})
-	env, err := b.Sum().MarshalBinary()
+	acc := core.NewSuper(core.Params384)
+	acc.AddSlice([]float64{1.5, -0.25, 1e-9})
+	env, err := acc.Sum().MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -34,7 +34,7 @@ type VerifyResult struct {
 
 // replayAcc is one accumulator's replay state.
 type replayAcc struct {
-	b      *core.BatchAccumulator
+	s      *core.SuperAccumulator
 	frames uint64
 	adds   uint64
 }
@@ -89,7 +89,7 @@ func Verify(records []*Record, jr *JournalReader) (*VerifyResult, error) {
 				// A restore must extend the journaled trajectory exactly:
 				// the seeded state is the snapshot of everything accepted
 				// before the restart.
-				env, err := st.b.Sum().MarshalBinary()
+				env, err := st.s.Sum().MarshalBinary()
 				if err != nil {
 					return err
 				}
@@ -99,9 +99,9 @@ func Verify(records []*Record, jr *JournalReader) (*VerifyResult, error) {
 							st.frames, st.adds, e.Frames, e.Adds)}
 				}
 			}
-			nb := core.NewBatch(h.Params())
+			nb := core.NewSuper(h.Params())
 			nb.AddHP(&h)
-			accs[e.Name] = &replayAcc{b: nb, frames: e.Frames, adds: e.Adds}
+			accs[e.Name] = &replayAcc{s: nb, frames: e.Frames, adds: e.Adds}
 			return nil
 		case JournalFloats:
 			if !audited {
@@ -109,14 +109,14 @@ func Verify(records []*Record, jr *JournalReader) (*VerifyResult, error) {
 				return nil
 			}
 			if st == nil {
-				st = &replayAcc{b: core.NewBatch(p)}
+				st = &replayAcc{s: core.NewSuper(p)}
 				accs[e.Name] = st
 			}
 			xs, err := e.Floats()
 			if err != nil {
 				return &Divergence{Seq: seq, Name: e.Name, Reason: err.Error()}
 			}
-			st.b.AddSlice(xs)
+			st.s.AddSlice(xs)
 			st.frames++
 			st.adds += uint64(len(xs))
 			res.FramesReplayed++
@@ -128,14 +128,14 @@ func Verify(records []*Record, jr *JournalReader) (*VerifyResult, error) {
 				return nil
 			}
 			if st == nil {
-				st = &replayAcc{b: core.NewBatch(p)}
+				st = &replayAcc{s: core.NewSuper(p)}
 				accs[e.Name] = st
 			}
 			var h core.HP
 			if err := h.UnmarshalBinary(e.Payload); err != nil {
 				return &Divergence{Seq: seq, Name: e.Name, Reason: fmt.Sprintf("undecodable HP frame: %v", err)}
 			}
-			st.b.AddHP(&h)
+			st.s.AddHP(&h)
 			st.frames++
 			res.FramesReplayed++
 			return nil
@@ -149,7 +149,7 @@ func Verify(records []*Record, jr *JournalReader) (*VerifyResult, error) {
 			e := &r.Entries[i]
 			st := accs[e.Name]
 			if st == nil {
-				st = &replayAcc{b: core.NewBatch(params[e.Name])}
+				st = &replayAcc{s: core.NewSuper(params[e.Name])}
 				accs[e.Name] = st
 			}
 			for st.frames < e.Frames {
@@ -169,7 +169,7 @@ func Verify(records []*Record, jr *JournalReader) (*VerifyResult, error) {
 				return res, &Divergence{Seq: r.Seq, Name: e.Name,
 					Reason: fmt.Sprintf("journal has %d frames, watermark is %d: the journal recorded frames the log never attested", st.frames, e.Frames)}
 			}
-			env, err := st.b.Sum().MarshalBinary()
+			env, err := st.s.Sum().MarshalBinary()
 			if err != nil {
 				return res, err
 			}

@@ -26,7 +26,7 @@ func newJournalBuilder(t *testing.T, p core.Params) *journalBuilder {
 func (jb *journalBuilder) acc(name string) *replayAcc {
 	st := jb.accs[name]
 	if st == nil {
-		st = &replayAcc{b: core.NewBatch(jb.p)}
+		st = &replayAcc{s: core.NewSuper(jb.p)}
 		jb.accs[name] = st
 	}
 	return st
@@ -44,7 +44,7 @@ func (jb *journalBuilder) floats(name string, xs []float64) {
 		jb.t.Fatal(err)
 	}
 	st := jb.acc(name)
-	st.b.AddSlice(xs)
+	st.s.AddSlice(xs)
 	st.frames++
 	st.adds += uint64(len(xs))
 }
@@ -60,7 +60,7 @@ func (jb *journalBuilder) hp(name string, h *core.HP) {
 		jb.t.Fatal(err)
 	}
 	st := jb.acc(name)
-	st.b.AddHP(h)
+	st.s.AddHP(h)
 	st.frames++
 }
 
@@ -68,7 +68,7 @@ func (jb *journalBuilder) hp(name string, h *core.HP) {
 func (jb *journalBuilder) seed(name string) {
 	jb.t.Helper()
 	st := jb.acc(name)
-	env, err := st.b.Sum().MarshalBinary()
+	env, err := st.s.Sum().MarshalBinary()
 	if err != nil {
 		jb.t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func (jb *journalBuilder) seed(name string) {
 func (jb *journalBuilder) entry(name string) Entry {
 	jb.t.Helper()
 	st := jb.acc(name)
-	env, err := st.b.Sum().MarshalBinary()
+	env, err := st.s.Sum().MarshalBinary()
 	if err != nil {
 		jb.t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestVerifyDivergences(t *testing.T) {
 		jb.floats("a", rng.UniformSet(src, 10, -1, 1))
 		e := jb.entry("a")
 		// Attest a lying envelope (same format, different value).
-		lie := core.NewBatch(core.Params384)
+		lie := core.NewSuper(core.Params384)
 		lie.Add(1.0)
 		env, err := lie.Sum().MarshalBinary()
 		if err != nil {
@@ -241,7 +241,7 @@ func TestVerifyDivergences(t *testing.T) {
 		// A seed claiming fewer frames than journaled: accepted frames were
 		// lost before the snapshot it restored from.
 		st := jb.acc("a")
-		env, err := st.b.Sum().MarshalBinary()
+		env, err := st.s.Sum().MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}

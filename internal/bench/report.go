@@ -270,7 +270,9 @@ func ReadReport(path string) (*Report, error) {
 // (a rename or deletion looks exactly like a passing run). Retire a name by
 // adding it here in the same change that removes the workload.
 var RetiredWorkloads = []string{
-	// (none currently retired)
+	// The carry-save BatchAccumulator was deleted; SuperAccumulator does
+	// every bulk fold (serial-super).
+	"serial-batch",
 }
 
 // CompareReports is the regression gate between a freshly measured report

@@ -23,7 +23,7 @@ func testReport() *Report {
 		Baseline:    "serial-legacy",
 		Workloads: []Workload{
 			{Name: "serial-legacy", Workers: 1, SecondsPerTrial: 1, AddsPerSec: 1024, Speedup: 1, Checksum: 0.5, Backend: "generic"},
-			{Name: "serial-batch", Workers: 1, SecondsPerTrial: 0.25, AddsPerSec: 4096, Speedup: 4, Checksum: 0.5, Backend: "asm+avx2"},
+			{Name: "serial-super", Workers: 1, SecondsPerTrial: 0.25, AddsPerSec: 4096, Speedup: 4, Checksum: 0.5, Backend: "asm+avx2"},
 			{Name: "omp-reduce", Workers: 1, SecondsPerTrial: 0.5, AddsPerSec: 2048, Speedup: 2, Checksum: 0.5, Backend: "asm+avx2"},
 			{Name: "omp-reduce", Workers: 4, SecondsPerTrial: 0.125, AddsPerSec: 8192, Speedup: 8, Checksum: 0.5, Backend: "asm+avx2"},
 		},
@@ -98,23 +98,23 @@ func TestLookupWorkers(t *testing.T) {
 
 func TestCompareReportsGuards(t *testing.T) {
 	cur, committed := testReport(), testReport()
-	if err := CompareReports(cur, committed, []string{"serial-batch"}, 0.25); err != nil {
+	if err := CompareReports(cur, committed, []string{"serial-super"}, 0.25); err != nil {
 		t.Fatalf("identical reports: %v", err)
 	}
 	// Within tolerance: 20% drop on a guarded workload passes at 25%.
-	cur.LookupWorkers("serial-batch", 1).Speedup = 3.2
-	if err := CompareReports(cur, committed, []string{"serial-batch"}, 0.25); err != nil {
+	cur.LookupWorkers("serial-super", 1).Speedup = 3.2
+	if err := CompareReports(cur, committed, []string{"serial-super"}, 0.25); err != nil {
 		t.Errorf("20%% drop failed a 25%% gate: %v", err)
 	}
-	cur.LookupWorkers("serial-batch", 1).Speedup = 2.9
-	if err := CompareReports(cur, committed, []string{"serial-batch"}, 0.25); err == nil {
+	cur.LookupWorkers("serial-super", 1).Speedup = 2.9
+	if err := CompareReports(cur, committed, []string{"serial-super"}, 0.25); err == nil {
 		t.Error("28% drop passed a 25% gate")
 	}
 	// A guarded workload missing from the current run fails; one missing
 	// from the committed reference (not yet benchmarked back then) passes.
 	cur = testReport()
 	cur.Workloads = cur.Workloads[:1]
-	if err := CompareReports(cur, committed, []string{"serial-batch"}, 0.25); err == nil {
+	if err := CompareReports(cur, committed, []string{"serial-super"}, 0.25); err == nil {
 		t.Error("missing guarded workload passed")
 	}
 	if err := CompareReports(testReport(), committed, []string{"brand-new"}, 0.25); err != nil {
@@ -165,12 +165,12 @@ func TestCompareReportsJoinsAllDrifts(t *testing.T) {
 	// a single joined error, not just the first.
 	cur.LookupWorkers("serial-legacy", 1).Checksum = 0.25
 	cur.LookupWorkers("omp-reduce", 4).Checksum = 0.75
-	cur.LookupWorkers("serial-batch", 1).Speedup = 1
-	err := CompareReports(cur, committed, []string{"serial-batch"}, 0.25)
+	cur.LookupWorkers("serial-super", 1).Speedup = 1
+	err := CompareReports(cur, committed, []string{"serial-super"}, 0.25)
 	if err == nil {
 		t.Fatal("drifted reports passed")
 	}
-	for _, want := range []string{"serial-legacy", "omp-reduce", "serial-batch"} {
+	for _, want := range []string{"serial-legacy", "omp-reduce", "serial-super"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("joined error missing %s drift: %v", want, err)
 		}

@@ -105,13 +105,13 @@ func (a *Atomic) AddHPCAS(x *HP) {
 	}
 }
 
-// AddBatch flushes a locally accumulated batch into the shared sum with a
-// single full-width pass of fetch-adds: b is normalized, its canonical
-// limbs are added like AddHP, and b is reset so the caller can keep
-// accumulating into it. A whole block of summands therefore costs at most
-// N atomic operations instead of up to two per element. The batch's sticky
+// AddBatch flushes a locally accumulated superaccumulator into the shared
+// sum with a single full-width pass of fetch-adds: b is spilled, its
+// canonical limbs are added like AddHP, and b is reset so the caller can
+// keep accumulating into it. A whole block of summands therefore costs at
+// most N atomic operations instead of up to two per element. b's sticky
 // conversion fault (if any) is returned and cleared with the reset.
-func (a *Atomic) AddBatch(b *BatchAccumulator) error {
+func (a *Atomic) AddBatch(b *SuperAccumulator) error {
 	err := b.Err()
 	a.AddHP(b.Sum())
 	b.Reset()

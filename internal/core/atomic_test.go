@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -158,5 +159,28 @@ func TestAtomicRangeErrorPropagates(t *testing.T) {
 	}
 	if !acc.Snapshot().IsZero() {
 		t.Error("failed conversion must not modify the accumulator")
+	}
+}
+
+// TestBatchAtomicFlush: Atomic.AddBatch drains a local superaccumulator
+// into the shared sum (resetting it for reuse) and reports its sticky
+// fault.
+func TestBatchAtomicFlush(t *testing.T) {
+	p := Params192
+	dst := NewAtomic(p)
+	s := NewSuper(p)
+	s.AddSlice([]float64{1.5, -0.25, math.NaN()})
+	if err := dst.AddBatch(s); err != ErrNotFinite {
+		t.Fatalf("flush err = %v, want ErrNotFinite", err)
+	}
+	if s.Err() != nil || s.Float64() != 0 {
+		t.Fatal("superaccumulator not reset after flush")
+	}
+	s.AddSlice([]float64{2})
+	if err := dst.AddBatch(s); err != nil {
+		t.Fatal(err)
+	}
+	if got := dst.Snapshot().Float64(); got != 3.25 {
+		t.Errorf("atomic sum = %g, want 3.25", got)
 	}
 }

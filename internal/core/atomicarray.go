@@ -139,27 +139,28 @@ func (a *AtomicArray) AddFloat64CAS(i int, x float64) error {
 	return nil
 }
 
-// AddBatch flushes a locally accumulated batch into accumulator i with one
-// full-width pass of fetch-adds (at most N atomic operations for the whole
-// batch, versus up to two per element through AddFloat64). b is normalized,
-// added, and reset so the caller can keep accumulating into it; its sticky
-// conversion fault (if any) is returned and cleared with the reset.
-func (a *AtomicArray) AddBatch(i int, b *BatchAccumulator) error {
+// AddBatch flushes a locally accumulated superaccumulator into
+// accumulator i with one full-width pass of fetch-adds (at most N atomic
+// operations for the whole block, versus up to two per element through
+// AddFloat64). b is spilled, added, and reset so the caller can keep
+// accumulating into it; its sticky conversion fault (if any) is returned
+// and cleared with the reset.
+func (a *AtomicArray) AddBatch(i int, b *SuperAccumulator) error {
 	err := b.Err()
 	a.AddHP(i, b.Sum())
 	b.Reset()
 	return err
 }
 
-// AddSlice accumulates xs thread-locally through the carry-save batch
-// kernel and flushes the block total into accumulator i with a single
-// full-width atomic pass — the bulk path for block-partitioned writers.
-// scratch is reset and reused (pass the same one across calls to stay
-// allocation-free); a nil scratch allocates a private batch. The first
+// AddSlice accumulates xs thread-locally through the superaccumulator and
+// flushes the block total into accumulator i with a single full-width
+// atomic pass — the bulk path for block-partitioned writers. scratch is
+// reset and reused (pass the same one across calls to stay
+// allocation-free); a nil scratch allocates a private one. The first
 // conversion fault in xs is returned; faulting elements do not contribute.
-func (a *AtomicArray) AddSlice(i int, xs []float64, scratch *BatchAccumulator) error {
+func (a *AtomicArray) AddSlice(i int, xs []float64, scratch *SuperAccumulator) error {
 	if scratch == nil {
-		scratch = NewBatch(a.p)
+		scratch = NewSuper(a.p)
 	} else {
 		scratch.Reset()
 	}

@@ -108,7 +108,7 @@ func TestAtomicArrayBatchFlushMatchesSequential(t *testing.T) {
 			defer wg.Done()
 			// Flush in several sub-blocks through one reused scratch to
 			// exercise the reset-and-continue path.
-			scratch := NewBatch(p)
+			scratch := NewSuper(p)
 			for len(slice) > 0 {
 				n := min(512, len(slice))
 				if err := bank.AddSlice(w%slots, slice[:n], scratch); err != nil {
@@ -142,7 +142,7 @@ func TestAtomicArrayAddSliceFaults(t *testing.T) {
 		t.Errorf("slot = %g, want 4", got)
 	}
 	// A reused scratch carries no state or error across calls.
-	scratch := NewBatch(p)
+	scratch := NewSuper(p)
 	if err := bank.AddSlice(0, []float64{1e300}, scratch); err != ErrOverflow {
 		t.Fatalf("err = %v, want ErrOverflow", err)
 	}

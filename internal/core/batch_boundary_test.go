@@ -6,13 +6,13 @@ import (
 )
 
 // Table-driven boundary tests for the eMin/eSpan fast-path gate shared by
-// the batch and super accumulators. The gate classifies a float64 by its
+// Accumulator and SuperAccumulator. The gate classifies a float64 by its
 // raw biased exponent with a single unsigned compare; these tests pin its
 // edges — the exponents just inside and just outside the window, the
 // limb-aligned offsets where the window's high word relies on Go's shift
 // semantics (m >> 64 == 0), subnormals, signed zeros — and assert every
-// case bit-identical to the fused AddFloat64 path, for both kernels, on
-// every format shape.
+// case bit-identical to the fused AddFloat64 path, for both accumulators,
+// on every format shape.
 
 // gateBoundaryValues builds the boundary stream for format p: for each
 // edge exponent, a power of two, an all-ones significand, and a half-set
@@ -51,30 +51,30 @@ func gateBoundaryValues(p Params) []float64 {
 	return xs
 }
 
-// TestGateBoundary: element by element and cumulatively, both deferred
-// kernels agree with the fused path on every boundary value — acceptance,
-// sticky error identity, and canonical limbs.
+// TestGateBoundary: element by element and cumulatively, both gated
+// accumulators agree with the fused path on every boundary value —
+// acceptance, sticky error identity, and canonical limbs.
 func TestGateBoundary(t *testing.T) {
 	for _, p := range batchFormats {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			xs := gateBoundaryValues(p)
 			oracle := New(p)
-			b := NewBatch(p)
+			a := NewAccumulator(p).AllowWrap()
 			s := NewSuper(p)
 			var wantErr error
 			for i, x := range xs {
 				if _, err := oracle.AddFloat64(x); err != nil && wantErr == nil {
 					wantErr = err
 				}
-				b.Add(x)
+				a.Add(x)
 				s.Add(x)
-				if b.Err() != wantErr || s.Err() != wantErr {
-					t.Fatalf("value %d (%g, bits %016x): err batch=%v super=%v, want %v",
-						i, x, math.Float64bits(x), b.Err(), s.Err(), wantErr)
+				if a.Err() != wantErr || s.Err() != wantErr {
+					t.Fatalf("value %d (%g, bits %016x): err accumulator=%v super=%v, want %v",
+						i, x, math.Float64bits(x), a.Err(), s.Err(), wantErr)
 				}
-				if got := b.Sum(); !got.Equal(oracle) {
-					t.Fatalf("value %d (%g, bits %016x): batch limbs diverged\nbatch %016x\nfused %016x",
+				if got := a.Sum(); !got.Equal(oracle) {
+					t.Fatalf("value %d (%g, bits %016x): accumulator limbs diverged\naccumulator %016x\nfused       %016x",
 						i, x, math.Float64bits(x), got.Limbs(), oracle.Limbs())
 				}
 				if got := s.Sum(); !got.Equal(oracle) {
@@ -89,7 +89,7 @@ func TestGateBoundary(t *testing.T) {
 // TestGateBoundsNonNegative: for every Validate-accepted format the gate
 // window is well-formed — eSpan >= 0 needs 64(N-K) >= -1020, which holds
 // whenever K <= N — so the defensive clamp in gateBounds is unreachable
-// through NewBatch/NewSuper. The sweep goes far past the shipped widths.
+// through NewAccumulator/NewSuper. The sweep goes far past the shipped widths.
 func TestGateBoundsNonNegative(t *testing.T) {
 	for n := 1; n <= 64; n++ {
 		for k := 0; k <= n; k++ {
@@ -126,11 +126,11 @@ func TestGateDegenerateClamp(t *testing.T) {
 	oracle := New(p)
 	wantErr := addBatchOracle(oracle, xs)
 
-	b := NewBatch(p)
-	b.eMin, b.eSpan = 1<<30, 0
-	b.AddSlice(xs)
-	if b.Err() != wantErr || !b.Sum().Equal(oracle) {
-		t.Fatal("closed-gate batch accumulator diverged from the fused path")
+	a := NewAccumulator(p).AllowWrap()
+	a.eMin, a.eSpan = 1<<30, 0
+	a.AddAll(xs)
+	if a.Err() != wantErr || !a.Sum().Equal(oracle) {
+		t.Fatal("closed-gate canonical accumulator diverged from the fused path")
 	}
 
 	s := NewSuper(p)

@@ -154,60 +154,13 @@ func FuzzFusedAddDifferential(f *testing.F) {
 	})
 }
 
-// FuzzBatchAddDifferential: from an arbitrary accumulator state, the
-// carry-save batch kernel must match the fused sparse kernel bit for bit —
-// same acceptance, same sticky-error identity, same canonical limbs — for
-// any pair of values and any normalize placement between them, including a
-// saturated counted bound that forces mid-stream normalization.
-func FuzzBatchAddDifferential(f *testing.F) {
-	f.Add(uint64(0), 0.5, -0.25, uint8(0))
-	f.Add(uint64(1), -0.1, 0.1, uint8(1))
-	f.Add(uint64(0xfff), 1e15, -1e15, uint8(2))
-	f.Add(^uint64(0), -math.Ldexp(1, 62), math.Ldexp(1, 62), uint8(3))
-	f.Add(uint64(42), math.Ldexp(1, -64), 1.0, uint8(4))
-	f.Add(uint64(7), math.MaxFloat64, math.Inf(1), uint8(5))
-	f.Add(uint64(9), math.NaN(), math.Ldexp(1.5, -60), uint8(6))
-	f.Fuzz(func(t *testing.T, seed uint64, x, y float64, mode uint8) {
-		p := Params384
-		start := mixedLimbs(p, seed)
-
-		oracle := start.Clone()
-		var wantErr error
-		for _, v := range []float64{x, y} {
-			if _, err := oracle.AddFloat64(v); err != nil && wantErr == nil {
-				wantErr = err
-			}
-		}
-
-		b := NewBatch(p)
-		if mode%7 == 6 {
-			b.limit = 1 // saturate the counted bound on every add
-		}
-		b.AddHP(start)
-		b.Add(x)
-		switch mode % 3 {
-		case 1:
-			b.Normalize()
-		case 2:
-			_ = b.Float64()
-		}
-		b.Add(y)
-		if gotErr := b.Err(); gotErr != wantErr {
-			t.Fatalf("sticky err %v, want %v (x=%g y=%g)", gotErr, wantErr, x, y)
-		}
-		if got := b.Sum(); !got.Equal(oracle) {
-			t.Fatalf("limbs differ after %g, %g (mode %d):\nbatch %016x\nfused %016x",
-				x, y, mode, got.Limbs(), oracle.Limbs())
-		}
-	})
-}
-
-// FuzzAddRoundDifferential: the fused per-element rebuild primitive must be
-// bit-identical to its unfused spelling — AddChecked followed by Float64 —
-// in rounded value, overflow verdict, sticky error identity, and final
-// canonical limbs, from arbitrary accumulator states. Its hand-rolled ±1
-// carry fold (the idx >= 2 walk, the idx == 0 spill zeroing, the idx == 1
-// wrap) is otherwise only reachable through scan phase 2.
+// FuzzAddRoundDifferential: the canonical per-element rebuild primitive,
+// Accumulator.AddRound, must be bit-identical to an independent spelling —
+// the fused kernel's HP.AddFloat64 followed by Float64 — in rounded value,
+// overflow verdict, sticky error identity, and final canonical limbs, from
+// arbitrary accumulator states. Its gated window add and hand-rolled ±1
+// carry ripple (the idx >= 2 walk, the idx <= 1 wraps past the top limb)
+// are the path scan phase 2 runs for every element.
 func FuzzAddRoundDifferential(f *testing.F) {
 	f.Add(uint64(0), 0.5, -0.25, uint8(0))
 	f.Add(uint64(1), -0.1, 0.1, uint8(1))
@@ -219,35 +172,38 @@ func FuzzAddRoundDifferential(f *testing.F) {
 	f.Add(uint64(3), math.Ldexp(1, -128), -math.Ldexp(1, -128), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, x, y float64, mode uint8) {
 		// Sweep formats so every idx class is reachable: deep windows
-		// (idx >= 2, the manual fold), top-of-format windows (idx <= 1,
+		// (idx >= 2, the carry ripple), top-of-format windows (idx <= 1,
 		// the wrap paths), and a generic width with no unrolled kernel.
 		formats := []Params{Params384, {N: 2, K: 1}, {N: 3, K: 3}, {N: 5, K: 2}}
 		p := formats[mode%4]
 		start := mixedLimbs(p, seed)
 
-		fused := NewBatch(p)
-		fused.AddHP(start)
-		plain := NewBatch(p)
-		plain.AddHP(start)
+		acc := NewAccumulator(p).AllowWrap()
+		acc.AddHP(start)
+		plain := start.Clone()
+		var plainErr error
 
 		for _, v := range []float64{x, y} {
-			gotOut, gotOv := fused.AddRound(v)
-			wantOv := plain.AddChecked(v)
+			gotOut, gotOv := acc.AddRound(v)
+			wantOv, err := plain.AddFloat64(v)
+			if err != nil && plainErr == nil {
+				plainErr = err
+			}
 			wantOut := plain.Float64()
 			if math.Float64bits(gotOut) != math.Float64bits(wantOut) {
-				t.Fatalf("rounded value differs after %g: fused %x (%g), plain %x (%g)",
+				t.Fatalf("rounded value differs after %g: AddRound %x (%g), fused %x (%g)",
 					v, math.Float64bits(gotOut), gotOut, math.Float64bits(wantOut), wantOut)
 			}
 			if gotOv != wantOv {
-				t.Fatalf("overflow verdict differs after %g: fused %v, plain %v", v, gotOv, wantOv)
+				t.Fatalf("overflow verdict differs after %g: AddRound %v, fused %v", v, gotOv, wantOv)
 			}
-			if fused.Err() != plain.Err() {
-				t.Fatalf("sticky err differs after %g: fused %v, plain %v", v, fused.Err(), plain.Err())
+			if acc.Err() != plainErr {
+				t.Fatalf("sticky err differs after %g: AddRound %v, fused %v", v, acc.Err(), plainErr)
 			}
 		}
-		if got, want := fused.Sum(), plain.Sum(); !got.Equal(want) {
-			t.Fatalf("limbs differ after %g, %g:\nfused %016x\nplain %016x",
-				x, y, got.Limbs(), want.Limbs())
+		if got := acc.Sum(); !got.Equal(plain) {
+			t.Fatalf("limbs differ after %g, %g:\nAddRound %016x\nfused    %016x",
+				x, y, got.Limbs(), plain.Limbs())
 		}
 	})
 }

@@ -179,8 +179,8 @@ func (x *HP) magnitude(dst []uint64) bool {
 }
 
 // magnitudeInto writes the magnitude of the big-endian two's-complement limb
-// vector src into dst and reports whether src was negative. Shared by HP and
-// BatchAccumulator rounding.
+// vector src into dst and reports whether src was negative. Shared by
+// HP.magnitude and the generic rounding path of limbsToFloat64.
 func magnitudeInto(dst, src []uint64) bool {
 	copy(dst, src)
 	if src[0]>>63 == 0 {

@@ -6,16 +6,15 @@ import (
 )
 
 // This file holds the specialized unrolled limb kernels for the shipped HP
-// formats, in the spirit of Accum384: the full-width fold, normalize, and
-// merge loops of the batch and superaccumulator paths are unrolled per limb
-// count, with the slice bound checks hoisted once via a slice-to-array
-// pointer conversion so the bits.Add64 chains compile to straight-line
-// add-with-carry sequences. NewBatch and NewSuper select a kernel
+// formats: the superaccumulator's full-width merge and AddHP loop is
+// unrolled per limb count, with the slice bound checks hoisted once via a
+// slice-to-array pointer conversion so the bits.Add64 chain compiles to a
+// straight-line add-with-carry sequence. NewSuper selects a kernel
 // automatically when the format's N matches a shipped format; every other
-// format falls back to the generic loops. Results are bit-identical either
-// way — the kernels are proven against the generic loops by
-// TestKernelsMatchGeneric and ride every existing differential (the batch
-// and super fuzz targets run on Params384, which selects kern6).
+// format falls back to the generic loop. Results are bit-identical either
+// way — the kernels are proven against the generic loop by
+// TestKernelsMatchGeneric and ride every existing differential (the super
+// fuzz targets run on Params384, which selects kern6).
 //
 // Only N selects a kernel: the fractional split K affects conversion and
 // rounding, not the full-width integer arithmetic unrolled here, so one
@@ -73,10 +72,6 @@ type limbKernel struct {
 	// two's-complement quantity, discarding the carry out of the top limb —
 	// the wrapping full-width add behind AddHP and the Merge combines.
 	addVec func(dst, src []uint64)
-	// foldCounts folds the batch accumulator's pending carry counts
-	// cbuf[2:] into the value limbs, exactly as the generic loop in
-	// Normalize does. Nil for n < 3, where no window ever defers a carry.
-	foldCounts func(vv, cbuf []uint64)
 }
 
 // kernelFor returns the unrolled kernel for p's limb count — the assembly
@@ -104,9 +99,9 @@ func kernelFor(p Params) *limbKernel {
 
 var (
 	kern2 = &limbKernel{n: 2, addVec: addVec2}
-	kern3 = &limbKernel{n: 3, addVec: addVec3, foldCounts: foldCounts3}
-	kern6 = &limbKernel{n: 6, addVec: addVec6, foldCounts: foldCounts6}
-	kern8 = &limbKernel{n: 8, addVec: addVec8, foldCounts: foldCounts8}
+	kern3 = &limbKernel{n: 3, addVec: addVec3}
+	kern6 = &limbKernel{n: 6, addVec: addVec6}
+	kern8 = &limbKernel{n: 8, addVec: addVec8}
 )
 
 func addVec2(dst, src []uint64) {
@@ -146,47 +141,6 @@ func addVec8(dst, src []uint64) {
 	d[2], c = bits.Add64(d[2], s[2], c)
 	d[1], c = bits.Add64(d[1], s[1], c)
 	d[0], _ = bits.Add64(d[0], s[0], c)
-}
-
-// foldStep adds the signed count d into one value limb and returns the
-// outgoing signed carry (+1, 0, or -1), matching one iteration of the
-// generic Normalize fold. |d| < 2^62 + 1 by the MaxBatchAdds bound, so the
-// uint64 conversions below cannot truncate.
-func foldStep(limb *uint64, d int64) int64 {
-	if d >= 0 {
-		v, co := bits.Add64(*limb, uint64(d), 0)
-		*limb = v
-		return int64(co)
-	}
-	v, bo := bits.Sub64(*limb, uint64(-d), 0)
-	*limb = v
-	return -int64(bo)
-}
-
-func foldCounts3(vv, cbuf []uint64) {
-	v, c := (*[3]uint64)(vv), (*[3]uint64)(cbuf)
-	foldStep(&v[0], int64(c[2]))
-	c[2] = 0
-}
-
-func foldCounts6(vv, cbuf []uint64) {
-	v, c := (*[6]uint64)(vv), (*[6]uint64)(cbuf)
-	h := foldStep(&v[3], int64(c[5]))
-	h = foldStep(&v[2], h+int64(c[4]))
-	h = foldStep(&v[1], h+int64(c[3]))
-	foldStep(&v[0], h+int64(c[2]))
-	c[5], c[4], c[3], c[2] = 0, 0, 0, 0
-}
-
-func foldCounts8(vv, cbuf []uint64) {
-	v, c := (*[8]uint64)(vv), (*[8]uint64)(cbuf)
-	h := foldStep(&v[5], int64(c[7]))
-	h = foldStep(&v[4], h+int64(c[6]))
-	h = foldStep(&v[3], h+int64(c[5]))
-	h = foldStep(&v[2], h+int64(c[4]))
-	h = foldStep(&v[1], h+int64(c[3]))
-	foldStep(&v[0], h+int64(c[2]))
-	c[7], c[6], c[5], c[4], c[3], c[2] = 0, 0, 0, 0, 0, 0
 }
 
 // foldStripesGeneric collapses the superaccumulator's interleaved bin

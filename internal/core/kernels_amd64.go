@@ -48,15 +48,6 @@ func addVec6Asm(dst, src []uint64)
 //go:noescape
 func addVec8Asm(dst, src []uint64)
 
-//go:noescape
-func foldCounts3Asm(vv, cbuf []uint64)
-
-//go:noescape
-func foldCounts6Asm(vv, cbuf []uint64)
-
-//go:noescape
-func foldCounts8Asm(vv, cbuf []uint64)
-
 // The assembly limb kernels mirror the Go table in kernels.go: plain ADC
 // carry chains with every load/store at a fixed offset, so the compiler's
 // flag juggling around bits.Add64 disappears. Bit-identical to the
@@ -64,9 +55,9 @@ func foldCounts8Asm(vv, cbuf []uint64)
 // target.
 var (
 	kern2Asm = &limbKernel{n: 2, asm: true, addVec: addVec2Asm}
-	kern3Asm = &limbKernel{n: 3, asm: true, addVec: addVec3Asm, foldCounts: foldCounts3Asm}
-	kern6Asm = &limbKernel{n: 6, asm: true, addVec: addVec6Asm, foldCounts: foldCounts6Asm}
-	kern8Asm = &limbKernel{n: 8, asm: true, addVec: addVec8Asm, foldCounts: foldCounts8Asm}
+	kern3Asm = &limbKernel{n: 3, asm: true, addVec: addVec3Asm}
+	kern6Asm = &limbKernel{n: 6, asm: true, addVec: addVec6Asm}
+	kern8Asm = &limbKernel{n: 8, asm: true, addVec: addVec8Asm}
 )
 
 // asmKernelFor returns the assembly limb kernel for a shipped width, or

@@ -15,18 +15,17 @@
 //     exponent — same-magnitude streams are the common case, and striping
 //     turns the one serial store-forwarding chain the scalar loop is bound
 //     by into four independent ones.
-//   - addVec{2,3,6,8}Asm / foldCounts{3,6,8}Asm: straight-line ADC carry
-//     chains for the full-width limb kernels. MOVQ does not modify flags,
-//     so a load/ADC pair per limb keeps the carry live across the whole
-//     chain with no SBB/NEG flag reconstruction.
+//   - addVec{2,3,6,8}Asm: straight-line ADC carry chains for the
+//     full-width limb kernels. MOVQ does not modify flags, so a load/ADC
+//     pair per limb keeps the carry live across the whole chain with no
+//     SBB/NEG flag reconstruction.
 //   - foldStripesAVX2: per-bin horizontal sum of the four stripes and a
 //     256-bit zero store, feeding the spill's scalar window folds.
 //
 // Exactness: every instruction here implements the same two's-complement
-// arithmetic mod 2^64 as the generic Go loops — see DESIGN.md §15 for the
-// signed-carry identity the foldCounts chains rely on. Bit-identical
-// behavior is enforced by the asm differential tests and the
-// FuzzAsmKernelDifferential target.
+// arithmetic mod 2^64 as the generic Go loops. Bit-identical behavior is
+// enforced by the asm differential tests and the FuzzAsmKernelDifferential
+// target.
 
 // func superAddChunkAVX2(bins *int64, nbins, eMin int64, xs *float64, n, lo, hi int64) (stop, newLo, newHi int64)
 //
@@ -273,100 +272,4 @@ TEXT ·addVec8Asm(SB), NOSPLIT, $0-48
 	ADCQ AX, 8(DI)
 	MOVQ 0(SI), AX
 	ADCQ AX, 0(DI)
-	RET
-
-// The foldCounts chains fold the deferred carry counts into the value
-// limbs exactly as the generic foldStep does. Per limb, with d the signed
-// count to fold: the unsigned ADDQ computes the limb update mod 2^64, and
-// the true signed outgoing carry is CF + (d >> 63) — for d >= 0 this is
-// the plain carry; for d < 0 the unsigned add of d+2^64 carries unless the
-// subtraction would borrow, so CF - 1 is exactly -borrow. SARQ builds the
-// sign term before the ADDQ (SARQ clobbers CF), then ADCQ $0 adds the
-// add's carry on top. The top limb discards its carry, matching the
-// generic wrap.
-
-// func foldCounts3Asm(vv, cbuf []uint64)
-TEXT ·foldCounts3Asm(SB), NOSPLIT, $0-48
-	MOVQ vv_base+0(FP), DI
-	MOVQ cbuf_base+24(FP), SI
-	MOVQ 16(SI), AX            // c[2] -> v[0], carry discarded
-	ADDQ AX, 0(DI)
-	XORQ AX, AX
-	MOVQ AX, 16(SI)
-	RET
-
-// func foldCounts6Asm(vv, cbuf []uint64)
-TEXT ·foldCounts6Asm(SB), NOSPLIT, $0-48
-	MOVQ vv_base+0(FP), DI
-	MOVQ cbuf_base+24(FP), SI
-	MOVQ 40(SI), AX            // d = c[5]
-	MOVQ AX, CX
-	SARQ $63, CX
-	ADDQ AX, 24(DI)            // v[3] += d
-	ADCQ $0, CX                // h = (d>>63) + CF
-	MOVQ 32(SI), AX            // d = h + c[4]
-	ADDQ CX, AX
-	MOVQ AX, CX
-	SARQ $63, CX
-	ADDQ AX, 16(DI)            // v[2] += d
-	ADCQ $0, CX
-	MOVQ 24(SI), AX            // d = h + c[3]
-	ADDQ CX, AX
-	MOVQ AX, CX
-	SARQ $63, CX
-	ADDQ AX, 8(DI)             // v[1] += d
-	ADCQ $0, CX
-	MOVQ 16(SI), AX            // d = h + c[2] -> v[0], carry discarded
-	ADDQ CX, AX
-	ADDQ AX, 0(DI)
-	XORQ AX, AX
-	MOVQ AX, 16(SI)
-	MOVQ AX, 24(SI)
-	MOVQ AX, 32(SI)
-	MOVQ AX, 40(SI)
-	RET
-
-// func foldCounts8Asm(vv, cbuf []uint64)
-TEXT ·foldCounts8Asm(SB), NOSPLIT, $0-48
-	MOVQ vv_base+0(FP), DI
-	MOVQ cbuf_base+24(FP), SI
-	MOVQ 56(SI), AX            // d = c[7]
-	MOVQ AX, CX
-	SARQ $63, CX
-	ADDQ AX, 40(DI)            // v[5] += d
-	ADCQ $0, CX
-	MOVQ 48(SI), AX            // d = h + c[6]
-	ADDQ CX, AX
-	MOVQ AX, CX
-	SARQ $63, CX
-	ADDQ AX, 32(DI)            // v[4] += d
-	ADCQ $0, CX
-	MOVQ 40(SI), AX            // d = h + c[5]
-	ADDQ CX, AX
-	MOVQ AX, CX
-	SARQ $63, CX
-	ADDQ AX, 24(DI)            // v[3] += d
-	ADCQ $0, CX
-	MOVQ 32(SI), AX            // d = h + c[4]
-	ADDQ CX, AX
-	MOVQ AX, CX
-	SARQ $63, CX
-	ADDQ AX, 16(DI)            // v[2] += d
-	ADCQ $0, CX
-	MOVQ 24(SI), AX            // d = h + c[3]
-	ADDQ CX, AX
-	MOVQ AX, CX
-	SARQ $63, CX
-	ADDQ AX, 8(DI)             // v[1] += d
-	ADCQ $0, CX
-	MOVQ 16(SI), AX            // d = h + c[2] -> v[0], carry discarded
-	ADDQ CX, AX
-	ADDQ AX, 0(DI)
-	XORQ AX, AX
-	MOVQ AX, 16(SI)
-	MOVQ AX, 24(SI)
-	MOVQ AX, 32(SI)
-	MOVQ AX, 40(SI)
-	MOVQ AX, 48(SI)
-	MOVQ AX, 56(SI)
 	RET

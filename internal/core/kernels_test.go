@@ -15,25 +15,6 @@ func genericAddVec(dst, src []uint64) {
 	}
 }
 
-// genericFoldCounts is the reference pending-count fold from Normalize.
-func genericFoldCounts(vv, cbuf []uint64) {
-	n := len(vv)
-	var h int64
-	for i := n - 3; i >= 0; i-- {
-		d := h + int64(cbuf[i+2])
-		cbuf[i+2] = 0
-		if d >= 0 {
-			var co uint64
-			vv[i], co = bits.Add64(vv[i], uint64(d), 0)
-			h = int64(co)
-		} else {
-			var bo uint64
-			vv[i], bo = bits.Sub64(vv[i], uint64(-d), 0)
-			h = -int64(bo)
-		}
-	}
-}
-
 // kernelWords returns adversarial limb values: carry-chain extremes plus
 // random words.
 func kernelWords(r *rand.Rand, n int) []uint64 {
@@ -54,8 +35,8 @@ func kernelWords(r *rand.Rand, n int) []uint64 {
 }
 
 // TestKernelsMatchGeneric: every unrolled kernel is bit-identical to the
-// generic loops on adversarial limb patterns — full carry ripples, borrow
-// ripples, and signed count extremes at the MaxBatchAdds bound.
+// generic loop on adversarial limb patterns — full carry ripples and
+// wraps past the top limb.
 func TestKernelsMatchGeneric(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	for _, k := range []*limbKernel{kern2, kern3, kern6, kern8} {
@@ -70,48 +51,13 @@ func TestKernelsMatchGeneric(t *testing.T) {
 					t.Fatalf("n=%d trial %d: addVec limbs %016x, want %016x", k.n, trial, dst, wantDst)
 				}
 			}
-
-			if k.foldCounts == nil {
-				continue
-			}
-			vv := kernelWords(r, k.n)
-			cbuf := make([]uint64, k.n)
-			for i := 2; i < k.n; i++ {
-				switch r.Intn(5) {
-				case 0:
-					cbuf[i] = MaxBatchAdds // extreme positive count
-				case 1:
-					negLimit := int64(MaxBatchAdds)
-					cbuf[i] = uint64(-negLimit) // extreme negative count
-				case 2:
-					cbuf[i] = ^uint64(0) // -1
-				case 3:
-					cbuf[i] = 0
-				default:
-					cbuf[i] = uint64(int64(r.Uint64()) % MaxBatchAdds)
-				}
-			}
-			wantVV := append([]uint64(nil), vv...)
-			wantC := append([]uint64(nil), cbuf...)
-			genericFoldCounts(wantVV, wantC)
-			k.foldCounts(vv, cbuf)
-			for i := range vv {
-				if vv[i] != wantVV[i] {
-					t.Fatalf("n=%d trial %d: foldCounts limbs %016x, want %016x", k.n, trial, vv, wantVV)
-				}
-			}
-			for i := range cbuf {
-				if cbuf[i] != 0 {
-					t.Fatalf("n=%d trial %d: foldCounts left cbuf[%d]=%d", k.n, trial, i, int64(cbuf[i]))
-				}
-			}
 		}
 	}
 }
 
-// TestKernelSelection: NewBatch and NewSuper pick the unrolled kernel
-// exactly for the shipped widths and fall back to generic loops elsewhere,
-// and the selected kernel's width matches the format.
+// TestKernelSelection: NewSuper picks the unrolled kernel exactly for the
+// shipped widths and falls back to the generic loop elsewhere, and the
+// selected kernel's width matches the format.
 func TestKernelSelection(t *testing.T) {
 	cases := []struct {
 		p    Params
@@ -123,22 +69,15 @@ func TestKernelSelection(t *testing.T) {
 		{Params{N: 5, K: 4}, 0}, {Params{N: 20, K: 17}, 0},
 	}
 	for _, c := range cases {
-		b := NewBatch(c.p)
 		s := NewSuper(c.p)
 		if c.want == 0 {
-			if b.kern != nil || s.kern != nil {
+			if s.kern != nil {
 				t.Errorf("%v: expected generic fallback, got kernel", c.p)
 			}
 			continue
 		}
-		if b.kern == nil || b.kern.n != c.want {
-			t.Errorf("%v: batch kernel = %v, want n=%d", c.p, b.kern, c.want)
-		}
 		if s.kern == nil || s.kern.n != c.want {
 			t.Errorf("%v: super kernel = %v, want n=%d", c.p, s.kern, c.want)
-		}
-		if c.want >= 3 && b.kern.foldCounts == nil {
-			t.Errorf("%v: kernel missing foldCounts", c.p)
 		}
 	}
 }

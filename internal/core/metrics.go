@@ -22,12 +22,6 @@ var (
 		"Underflow detections: conversions with significant bits below the HP fractional range.")
 	mAdaptiveWidenings = telemetry.NewCounter("core_adaptive_widenings_total",
 		"Adaptive accumulator precision promotions (format widenings).")
-	mBatchAdds = telemetry.NewCounter("core_batch_adds_total",
-		"Values accumulated through the carry-save batch kernel (BatchAccumulator.AddSlice elements).")
-	mBatchNormalizes = telemetry.NewCounter("core_batch_normalizes_total",
-		"BatchAccumulator.Normalize calls that had pending adds to account for.")
-	mBatchFolds = telemetry.NewCounter("core_batch_carry_folds_total",
-		"Normalize calls that found nonzero pending carry counts and ran the fold loop.")
 	mSuperAdds = telemetry.NewCounter("core_super_adds_total",
 		"Values accumulated through the exponent-indexed superaccumulator (SuperAccumulator.AddSlice elements).")
 	mSuperSpills = telemetry.NewCounter("core_super_spills_total",

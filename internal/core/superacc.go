@@ -11,13 +11,12 @@ import (
 // This file implements the exponent-indexed superaccumulator frontend, in
 // the spirit of Neal's small superaccumulator (arXiv:1505.05571) and the
 // "procrastination" accumulators of Liguori et al. (arXiv:2406.05866). The
-// carry-save batch kernel (batch.go) already removed the data-dependent
-// carry ripple, but every add still forms a two-limb window (shift, mask,
-// conditional negate, two 64-bit adds with carry, counter update) and the
-// window adds for same-magnitude streams serialize on the same limb words.
-// The superaccumulator procrastinates harder: values are binned by their
-// raw float64 exponent, and an add is ONE signed 64-bit integer add into
-// the bin the exponent selects —
+// canonical accumulator (Accumulator.Add) places every value as a two-limb
+// window — shift, mask, conditional negate, two 64-bit adds with carry,
+// and a carry ripple — and the window adds for same-magnitude streams
+// serialize on the same limb words. The superaccumulator procrastinates:
+// values are binned by their raw float64 exponent, and an add is ONE
+// signed 64-bit integer add into the bin the exponent selects —
 //
 //	bins[e] += ±(significand of x)
 //
@@ -62,12 +61,12 @@ const superStripes = 4
 // the package (BENCH_sum.json workload "serial-super") and the default
 // per-worker partial for the parallel reductions.
 //
-// Semantics match BatchAccumulator: conversion range errors (NaN/Inf,
-// overflow, underflow of an input element) are detected identically, per
-// element, and recorded as the same sticky first error; signed-overflow
-// wraps are not observable per add (the accumulator operates exactly mod
-// 2^(64N), like Accumulator.AllowWrap), and reductions apply the sign rule
-// at their deterministic combine points via MergeChecked.
+// Relative to Accumulator: conversion range errors (NaN/Inf, overflow,
+// underflow of an input element) are detected identically, per element,
+// and recorded as the same sticky first error; signed-overflow wraps are
+// not observable per add (the accumulator operates exactly mod 2^(64N),
+// like Accumulator.AllowWrap), and reductions apply the sign rule at their
+// deterministic combine points via MergeChecked.
 //
 // A SuperAccumulator is not safe for concurrent use; give each goroutine
 // its own and combine with Merge or MergeChecked.
@@ -97,7 +96,7 @@ type SuperAccumulator struct {
 	// room counts adds until the next forced spill; bounded by spillEvery.
 	room       uint64
 	spillEvery uint64 // normally MaxSuperAdds; lowered in tests
-	// Fast-path gate, identical to BatchAccumulator's: a biased exponent e
+	// Fast-path gate, identical to Accumulator's: a biased exponent e
 	// with uint(e-eMin) <= uint(eSpan) is a nonzero normal float64 whose
 	// significand provably fits the format. Everything else (zeros,
 	// subnormals, NaN/Inf, range faults) takes the decomposeFloat64 slow
@@ -379,8 +378,7 @@ func (s *SuperAccumulator) Merge(from *SuperAccumulator) {
 // the two partials agree in sign while their sum's sign differs, the
 // combined value exceeded the representable range and ErrOverflow is
 // recorded (sticky, after any earlier error from either side). Reductions
-// use this so overflow is decided at the deterministic combine points,
-// mirroring BatchAccumulator.MergeChecked.
+// use this so overflow is decided at the deterministic combine points.
 func (s *SuperAccumulator) MergeChecked(from *SuperAccumulator) {
 	if from.err != nil && s.err == nil {
 		s.err = from.err

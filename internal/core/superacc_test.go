@@ -54,12 +54,12 @@ func TestPropSuperOrderInvariance(t *testing.T) {
 	ref.AddSlice(xs)
 	want := ref.Sum().Clone()
 
-	// The batch kernel and the fused kernel agree on the same stream, so
-	// all three hot paths are interchangeable.
-	b := NewBatch(p)
-	b.AddSlice(xs)
-	if !b.Sum().Equal(want) {
-		t.Fatal("super and batch kernels disagree on the same stream")
+	// The canonical accumulator agrees on the same stream, so both
+	// accumulators are interchangeable.
+	a := NewAccumulator(p).AllowWrap()
+	a.AddAll(xs)
+	if !a.Sum().Equal(want) {
+		t.Fatal("super and canonical accumulators disagree on the same stream")
 	}
 
 	r := rand.New(rand.NewSource(7))
@@ -190,8 +190,7 @@ func TestSuperMerge(t *testing.T) {
 
 // TestSuperMergeChecked: the checked combine matches Merge bit-for-bit
 // when in range and records ErrOverflow exactly when two same-signed
-// canonical partials produce an opposite-signed sum — the same verdicts as
-// BatchAccumulator.MergeChecked.
+// canonical partials produce an opposite-signed sum.
 func TestSuperMergeChecked(t *testing.T) {
 	p := Params384
 	xs := batchValues(p, 4, 1000)
@@ -281,7 +280,7 @@ func TestSuperAddSliceZeroAlloc(t *testing.T) {
 
 // TestSuperGoldenUniformSum: the superaccumulator reproduces the
 // repository's pinned reproducibility certificate — the same limbs the
-// fused and batch kernels produce for the canonical uniform workload.
+// fused kernel and Accumulator produce for the canonical uniform workload.
 func TestSuperGoldenUniformSum(t *testing.T) {
 	xs := rng.UniformSet(rng.New(2016), 100000, -0.5, 0.5)
 	s := NewSuper(Params384)

@@ -78,24 +78,26 @@ func Inclusive(p core.Params, xs []float64, workers int) ([]float64, error) {
 		return nil, err
 	}
 
-	// Phase 2: emit rounded prefixes from each exact offset, again through
-	// the batch kernel. AddRound keeps the state canonical across each add,
-	// so every state equals the sequential prefix state bit-for-bit and
-	// the sign-rule overflow verdict fires on exactly the same elements
-	// for every worker count; the per-element first error (conversion or
-	// overflow, whichever came first in element order) likewise matches
-	// the sequential accumulator. AddRound rounds in place through the
-	// batch's reused scratch, so the per-element loop does not allocate.
+	// Phase 2: emit rounded prefixes from each exact offset through the
+	// canonical accumulator, in wrapping mode so AddRound reports each
+	// verdict instead of making it sticky. Its state is canonical after
+	// every add, so every state equals the sequential prefix state
+	// bit-for-bit and the sign-rule overflow verdict fires on exactly the
+	// same elements for every worker count; the per-element first error
+	// (conversion or overflow, whichever came first in element order)
+	// likewise matches the sequential accumulator. AddRound rounds in place
+	// through the accumulator's reused scratch, so the per-element loop
+	// does not allocate.
 	errs := make([]error, workers)
 	team.Run(func(tid int) {
 		lo, hi := omp.StaticBlock(n, workers, tid)
-		b := core.NewBatch(p)
-		b.AddHP(offsets[tid])
+		acc := core.NewAccumulator(p).AllowWrap()
+		acc.AddHP(offsets[tid])
 		var firstErr error
 		for i := lo; i < hi; i++ {
-			v, overflow := b.AddRound(xs[i])
+			v, overflow := acc.AddRound(xs[i])
 			if firstErr == nil {
-				if err := b.Err(); err != nil {
+				if err := acc.Err(); err != nil {
 					firstErr = err
 				} else if overflow {
 					firstErr = core.ErrOverflow

@@ -14,9 +14,9 @@ import (
 // oracleHPText is the serial reference sum's canonical text.
 func oracleHPText(t *testing.T, p core.Params, xs []float64) string {
 	t.Helper()
-	b := core.NewBatch(p)
-	b.AddSlice(xs)
-	txt, err := b.Sum().MarshalText()
+	acc := core.NewSuper(p)
+	acc.AddSlice(xs)
+	txt, err := acc.Sum().MarshalText()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@
 //     travels across process-internal boundaries (shard queues) and wire
 //     boundaries (internal/server ingest frames, internal/mpi message
 //     headers), so one ingest frame can be followed client → shard queue →
-//     BatchAccumulator fold → merge, and an AllreduceFT round through every
+//     SuperAccumulator fold → merge, and an AllreduceFT round through every
 //     rank including retransmits and recovery. Export as Chrome
 //     trace-event JSON via WriteChromeTrace (chrome.go).
 //

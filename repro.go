@@ -73,15 +73,6 @@ type Atomic = core.Atomic
 // any finite float64, eliminating the a-priori range choice.
 type Adaptive = core.Adaptive
 
-// BatchAccumulator is the carry-save batch accumulator: the highest-
-// throughput sequential path, deferring cross-limb carries across a batch
-// of summands and folding them at normalize points. Its canonical sums are
-// bit-identical to Accumulator's. See core.BatchAccumulator.
-type BatchAccumulator = core.BatchAccumulator
-
-// NewBatch returns a zeroed carry-save batch accumulator with format p.
-func NewBatch(p Params) *BatchAccumulator { return core.NewBatch(p) }
-
 // SuperAccumulator is the exponent-indexed superaccumulator: the fastest
 // sequential path, absorbing each value as a single indexed integer add
 // into a per-exponent bin and folding the bins into canonical form at
