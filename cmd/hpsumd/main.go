@@ -59,16 +59,18 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], nil); err != nil {
+	if err := run(os.Args[1:], nil, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "hpsumd:", err)
 		os.Exit(1)
 	}
 }
 
-// run is main with injectable args and an optional ready channel (tests use
-// it to learn the bound address of ":0" listeners). It returns once the
-// server has fully shut down.
-func run(args []string, ready chan<- string) error {
+// run is main with injectable args, an optional ready channel (tests use
+// it to learn the bound address of ":0" listeners) and an optional stop
+// channel: closing it shuts this daemon down exactly as SIGINT or SIGTERM
+// does, without signalling the whole process. It returns once the server
+// has fully shut down.
+func run(args []string, ready chan<- string, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("hpsumd", flag.ContinueOnError)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address (service API + telemetry on one listener)")
@@ -251,8 +253,12 @@ func run(args []string, ready chan<- string) error {
 		}()
 	}
 
-	got := <-sig
-	fmt.Fprintf(os.Stderr, "hpsumd: %s: shutting down\n", got)
+	select {
+	case got := <-sig:
+		fmt.Fprintf(os.Stderr, "hpsumd: %s: shutting down\n", got)
+	case <-stop:
+		fmt.Fprintln(os.Stderr, "hpsumd: stopped: shutting down")
+	}
 
 	// Shutdown order matters: stop the HTTP layer first so nothing can
 	// enqueue anymore, snapshot and cut the shutdown audit record while the

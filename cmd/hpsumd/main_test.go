@@ -16,38 +16,59 @@ import (
 	"repro/internal/server"
 )
 
+// daemon is one running hpsumd entrypoint: done yields run's final error,
+// and closing stop shuts this daemon (and only this one) down.
+type daemon struct {
+	done chan error
+	stop chan struct{}
+}
+
 // startDaemon runs the real hpsumd entrypoint on an ephemeral port and
-// returns its base URL plus a channel that yields run's final error. Stop
-// it by signalling the test process: run's signal.Notify handler picks it
-// up exactly as a real deployment would.
-func startDaemon(t *testing.T, extra ...string) (string, chan error) {
+// returns its base URL plus its handle.
+func startDaemon(t *testing.T, extra ...string) (string, *daemon) {
 	t.Helper()
 	ready := make(chan string, 1)
-	done := make(chan error, 1)
+	d := &daemon{done: make(chan error, 1), stop: make(chan struct{})}
 	args := append([]string{"-addr", "127.0.0.1:0"}, extra...)
-	go func() { done <- run(args, ready) }()
+	go func() { d.done <- run(args, ready, d.stop) }()
 	select {
 	case addr := <-ready:
-		return "http://" + addr, done
-	case err := <-done:
+		return "http://" + addr, d
+	case err := <-d.done:
 		t.Fatalf("daemon exited before ready: %v", err)
 		return "", nil
 	}
 }
 
-func stopDaemon(t *testing.T, done chan error) {
+// stopDaemon shuts d down through its stop channel and waits for a clean
+// exit.
+func stopDaemon(t *testing.T, d *daemon) {
 	t.Helper()
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
+	close(d.stop)
+	waitDaemon(t, d)
+}
+
+func waitDaemon(t *testing.T, d *daemon) {
+	t.Helper()
 	select {
-	case err := <-done:
+	case err := <-d.done:
 		if err != nil {
 			t.Fatalf("daemon shutdown: %v", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not shut down")
 	}
+}
+
+// TestSignalStopsDaemon: the deployed binary still shuts down gracefully on
+// SIGTERM. The signal reaches the whole test process, so this test must not
+// run while another daemon is up (no test in this package is parallel).
+func TestSignalStopsDaemon(t *testing.T) {
+	_, d := startDaemon(t)
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	waitDaemon(t, d)
 }
 
 // TestServeSnapshotRestore is the full lifecycle the ISSUE acceptance
@@ -145,10 +166,10 @@ func httpGet(url string) (int, error) {
 }
 
 func TestBadFlags(t *testing.T) {
-	if err := run([]string{"-n", "2", "-k", "5"}, nil); err == nil {
+	if err := run([]string{"-n", "2", "-k", "5"}, nil, nil); err == nil {
 		t.Fatal("invalid HP params accepted")
 	}
-	if err := run([]string{"-addr", "127.0.0.1:0", "-restore", "/no/such/snapshot"}, nil); err == nil {
+	if err := run([]string{"-addr", "127.0.0.1:0", "-restore", "/no/such/snapshot"}, nil, nil); err == nil {
 		t.Fatal("missing restore file accepted")
 	}
 }
@@ -314,14 +335,7 @@ func TestGossipCluster(t *testing.T) {
 		t.Fatalf("alpha never learned beta: %+v", peersReplyA.Peers)
 	}
 
-	// One SIGTERM reaches both daemons; each must shut down cleanly.
+	// Each daemon must shut down cleanly.
 	stopDaemon(t, doneA)
-	select {
-	case err := <-doneB:
-		if err != nil {
-			t.Fatalf("second daemon shutdown: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("second daemon did not shut down")
-	}
+	stopDaemon(t, doneB)
 }

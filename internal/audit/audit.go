@@ -30,8 +30,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"os"
+
+	"repro/internal/wire"
 )
 
 // Schema identifies the audit-log record format.
@@ -102,8 +104,7 @@ func EncodeRecord(buf []byte, r *Record) ([]byte, error) {
 		return buf, fmt.Errorf("audit: reason of %d bytes exceeds %d", len(r.Reason), maxReasonLen)
 	}
 	start := len(buf)
-	buf = append(buf, recordMagic...)
-	buf = append(buf, recordVersion)
+	buf = wire.StartEnvelope(buf, recordMagic, recordVersion)
 	buf = append(buf, r.PrevHash[:]...)
 	buf = binary.BigEndian.AppendUint64(buf, r.Seq)
 	buf = append(buf, byte(len(r.Reason)))
@@ -130,7 +131,7 @@ func EncodeRecord(buf []byte, r *Record) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Env)))
 		buf = append(buf, e.Env...)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+	buf = wire.Seal(buf, start)
 	r.Hash = sha256.Sum256(buf[start:])
 	return buf, nil
 }
@@ -139,90 +140,40 @@ func EncodeRecord(buf []byte, r *Record) ([]byte, error) {
 // record and the number of bytes consumed. Allocation is bounded by the
 // bytes actually present, never by header claims.
 func DecodeRecord(data []byte) (*Record, int, error) {
-	const headerLen = 4 + 1 + HashLen + 8 + 1
-	if len(data) < headerLen {
-		return nil, 0, fmt.Errorf("%w: %d header bytes, need %d", ErrLogTruncated, len(data), headerLen)
+	c := wire.NewCursor(data, ErrLogTruncated, ErrLogCorrupt)
+	if m := c.Bytes(len(recordMagic), len(recordMagic), "magic"); c.Err() == nil && string(m) != recordMagic {
+		return nil, 0, fmt.Errorf("%w: bad magic %q", ErrLogCorrupt, m)
 	}
-	if string(data[:4]) != recordMagic {
-		return nil, 0, fmt.Errorf("%w: bad magic %q", ErrLogCorrupt, data[:4])
-	}
-	if data[4] != recordVersion {
-		return nil, 0, fmt.Errorf("%w: unsupported version %d", ErrLogCorrupt, data[4])
+	if v := c.U8(); c.Err() == nil && v != recordVersion {
+		return nil, 0, fmt.Errorf("%w: unsupported version %d", ErrLogCorrupt, v)
 	}
 	r := &Record{}
-	copy(r.PrevHash[:], data[5:5+HashLen])
-	off := 5 + HashLen
-	r.Seq = binary.BigEndian.Uint64(data[off:])
-	off += 8
-	reasonLen := int(data[off])
-	off++
-	need := func(n int) error {
-		if len(data)-off < n {
-			return fmt.Errorf("%w: offset %d, need %d more bytes", ErrLogTruncated, off, n)
-		}
-		return nil
+	copy(r.PrevHash[:], c.Bytes(HashLen, HashLen, "prev hash"))
+	r.Seq = c.U64()
+	r.Reason = string(c.Bytes(int(c.U8()), maxReasonLen, "reason"))
+	count := int(c.U32())
+	if c.Err() == nil {
+		r.Entries = make([]Entry, 0, min(count, 1024))
 	}
-	if err := need(reasonLen + 4); err != nil {
-		return nil, 0, err
-	}
-	r.Reason = string(data[off : off+reasonLen])
-	off += reasonLen
-	count := int(binary.BigEndian.Uint32(data[off:]))
-	off += 4
-	r.Entries = make([]Entry, 0, min(count, 1024))
-	for i := 0; i < count; i++ {
+	for i := 0; i < count && c.Err() == nil; i++ {
 		var e Entry
-		if err := need(2); err != nil {
-			return nil, 0, err
-		}
-		nameLen := int(binary.BigEndian.Uint16(data[off:]))
-		off += 2
-		if nameLen > maxNameLen {
-			return nil, 0, fmt.Errorf("%w: entry %d name of %d bytes exceeds %d", ErrLogCorrupt, i, nameLen, maxNameLen)
-		}
-		if err := need(nameLen + 8 + 8 + 2); err != nil {
-			return nil, 0, err
-		}
-		e.Name = string(data[off : off+nameLen])
-		off += nameLen
-		e.Frames = binary.BigEndian.Uint64(data[off:])
-		off += 8
-		e.Adds = binary.BigEndian.Uint64(data[off:])
-		off += 8
-		errLen := int(binary.BigEndian.Uint16(data[off:]))
-		off += 2
-		if err := need(errLen + HashLen + 4); err != nil {
-			return nil, 0, err
-		}
-		e.ErrText = string(data[off : off+errLen])
-		off += errLen
-		copy(e.Digest[:], data[off:])
-		off += HashLen
-		envLen := int(binary.BigEndian.Uint32(data[off:]))
-		off += 4
-		if envLen > maxEnvLen {
-			return nil, 0, fmt.Errorf("%w: entry %d envelope of %d bytes exceeds %d", ErrLogCorrupt, i, envLen, maxEnvLen)
-		}
-		if err := need(envLen); err != nil {
-			return nil, 0, err
-		}
-		e.Env = append([]byte(nil), data[off:off+envLen]...)
-		off += envLen
-		if e.Digest != DigestEnv(e.Env) {
+		e.Name = string(c.Bytes(int(c.U16()), maxNameLen, "entry name"))
+		e.Frames = c.U64()
+		e.Adds = c.U64()
+		e.ErrText = string(c.Bytes(int(c.U16()), math.MaxUint16, "error text"))
+		copy(e.Digest[:], c.Bytes(HashLen, HashLen, "digest"))
+		e.Env = append([]byte(nil), c.Bytes(int(c.U32()), maxEnvLen, "envelope")...)
+		if c.Err() == nil && e.Digest != DigestEnv(e.Env) {
 			return nil, 0, fmt.Errorf("%w: entry %q digest does not match its envelope", ErrLogCorrupt, e.Name)
 		}
 		r.Entries = append(r.Entries, e)
 	}
-	if err := need(4); err != nil {
+	c.Trailer(ErrLogCorrupt)
+	if err := c.Err(); err != nil {
 		return nil, 0, err
 	}
-	stored := binary.BigEndian.Uint32(data[off:])
-	if got := crc32.ChecksumIEEE(data[:off]); got != stored {
-		return nil, 0, fmt.Errorf("%w: crc mismatch (stored %08x, computed %08x)", ErrLogCorrupt, stored, got)
-	}
-	off += 4
-	r.Hash = sha256.Sum256(data[:off])
-	return r, off, nil
+	r.Hash = sha256.Sum256(data[:c.Off()])
+	return r, c.Off(), nil
 }
 
 // ReadLog decodes and chain-verifies a whole log image: every record's CRC,

@@ -5,11 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"sync"
+
+	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // JournalSchema identifies the frame-journal format.
@@ -70,18 +71,11 @@ func (e *JournalEntry) Floats() ([]float64, error) {
 	if e.Kind != JournalFloats {
 		return nil, fmt.Errorf("audit: Floats on journal kind %q", e.Kind)
 	}
-	if len(e.Payload)%8 != 0 {
-		return nil, fmt.Errorf("%w: float payload of %d bytes", ErrJournalCorrupt, len(e.Payload))
+	xs, err := wire.Float64s(nil, e.Payload, core.ErrNotFinite)
+	if err != nil {
+		return nil, fmt.Errorf("%w: float entry: %w", ErrJournalCorrupt, err)
 	}
-	out := make([]float64, len(e.Payload)/8)
-	for i := range out {
-		v := math.Float64frombits(binary.BigEndian.Uint64(e.Payload[8*i:]))
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("%w: non-finite value %d in float entry", ErrJournalCorrupt, i)
-		}
-		out[i] = v
-	}
-	return out, nil
+	return xs, nil
 }
 
 // AppendJournalEntry appends e's wire image to buf and returns the extended
@@ -108,7 +102,7 @@ func AppendJournalEntry(buf []byte, e *JournalEntry) ([]byte, error) {
 	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Payload)))
 	buf = append(buf, e.Payload...)
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:])), nil
+	return wire.Seal(buf, start), nil
 }
 
 // JournalReader streams entries from a journal image.
@@ -131,70 +125,75 @@ func (jr *JournalReader) Offset() int { return jr.off }
 // truncation, and ErrJournalCorrupt-wrapped errors for damage. The returned
 // entry's Payload is only valid until the following call.
 func (jr *JournalReader) Next() (*JournalEntry, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(jr.r, hdr[:1]); err != nil {
+	// The entry is read in steps, each sized by the one before: the mark;
+	// kind and name length; name, seed counters and payload length; payload
+	// and CRC. jr.buf keeps the whole image for the CRC.
+	jr.buf = jr.buf[:0]
+	if err := jr.fill(1); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
-		return nil, fmt.Errorf("%w at offset %d: %v", ErrJournalTruncated, jr.off, err)
+		return nil, jr.truncated(err)
 	}
-	if hdr[0] != journalEntryMark {
-		return nil, fmt.Errorf("%w at offset %d: bad entry mark 0x%02x", ErrJournalCorrupt, jr.off, hdr[0])
+	if jr.buf[0] != journalEntryMark {
+		return nil, fmt.Errorf("%w at offset %d: bad entry mark 0x%02x", ErrJournalCorrupt, jr.off, jr.buf[0])
 	}
-	if _, err := io.ReadFull(jr.r, hdr[1:]); err != nil {
-		return nil, fmt.Errorf("%w at offset %d: reading header: %v", ErrJournalTruncated, jr.off, err)
+	if err := jr.fill(4); err != nil {
+		return nil, jr.truncated(err)
 	}
-	kind := hdr[1]
-	nameLen := int(binary.BigEndian.Uint16(hdr[2:]))
+	nameLen := int(binary.BigEndian.Uint16(jr.buf[2:]))
 	if nameLen == 0 || nameLen > maxNameLen {
 		return nil, fmt.Errorf("%w at offset %d: name length %d", ErrJournalCorrupt, jr.off, nameLen)
 	}
-	extra := 0
-	if kind == JournalSeed {
-		extra = 16
+	pre := 4 + nameLen + 4
+	if jr.buf[1] == JournalSeed {
+		pre += 16
 	}
-	// Read name + optional counters + payload length in one shot, keeping
-	// the full entry image for the CRC.
-	pre := 4 + nameLen + extra + 4
-	if cap(jr.buf) < pre {
-		jr.buf = make([]byte, pre, 2*pre)
-	}
-	jr.buf = jr.buf[:pre]
-	copy(jr.buf, hdr[:])
-	if _, err := io.ReadFull(jr.r, jr.buf[4:]); err != nil {
-		return nil, fmt.Errorf("%w at offset %d: reading entry header: %v", ErrJournalTruncated, jr.off, err)
+	if err := jr.fill(pre); err != nil {
+		return nil, jr.truncated(err)
 	}
 	plen := int(binary.BigEndian.Uint32(jr.buf[pre-4:]))
 	if plen > MaxJournalPayload {
 		return nil, fmt.Errorf("%w at offset %d: payload length %d exceeds %d", ErrJournalCorrupt, jr.off, plen, MaxJournalPayload)
 	}
-	total := pre + plen + 4
-	if cap(jr.buf) < total {
-		buf := make([]byte, total)
-		copy(buf, jr.buf[:pre])
-		jr.buf = buf
+	if err := jr.fill(pre + plen + wire.TrailerLen); err != nil {
+		return nil, jr.truncated(err)
 	}
-	jr.buf = jr.buf[:total]
-	if _, err := io.ReadFull(jr.r, jr.buf[pre:]); err != nil {
-		return nil, fmt.Errorf("%w at offset %d: reading %d payload bytes: %v", ErrJournalTruncated, jr.off, plen, err)
+	body, err := wire.Verify(jr.buf, ErrJournalCorrupt)
+	if err != nil {
+		return nil, fmt.Errorf("%w at offset %d", err, jr.off)
 	}
-	body := jr.buf[:total-4]
-	stored := binary.BigEndian.Uint32(jr.buf[total-4:])
-	if got := crc32.ChecksumIEEE(body); got != stored {
-		return nil, fmt.Errorf("%w at offset %d: crc mismatch (stored %08x, computed %08x)", ErrJournalCorrupt, jr.off, stored, got)
-	}
-	e := &JournalEntry{Kind: kind, Name: string(jr.buf[4 : 4+nameLen])}
-	switch kind {
+
+	c := wire.NewCursor(body[1:], ErrJournalCorrupt, ErrJournalCorrupt)
+	e := &JournalEntry{Kind: c.U8()}
+	e.Name = string(c.Bytes(int(c.U16()), maxNameLen, "name"))
+	switch e.Kind {
 	case JournalFloats, JournalHP:
 	case JournalSeed:
-		e.Frames = binary.BigEndian.Uint64(jr.buf[4+nameLen:])
-		e.Adds = binary.BigEndian.Uint64(jr.buf[4+nameLen+8:])
+		e.Frames = c.U64()
+		e.Adds = c.U64()
 	default:
-		return nil, fmt.Errorf("%w at offset %d: unknown kind 0x%02x", ErrJournalCorrupt, jr.off, kind)
+		return nil, fmt.Errorf("%w at offset %d: unknown kind 0x%02x", ErrJournalCorrupt, jr.off, e.Kind)
 	}
-	e.Payload = jr.buf[pre : pre+plen]
-	jr.off += total
+	e.Payload = c.Bytes(int(c.U32()), MaxJournalPayload, "payload")
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	jr.off += len(jr.buf)
 	return e, nil
+}
+
+// fill extends jr.buf to n bytes read from the stream.
+func (jr *JournalReader) fill(n int) error {
+	have := len(jr.buf)
+	jr.buf = append(jr.buf, make([]byte, n-have)...)
+	_, err := io.ReadFull(jr.r, jr.buf[have:])
+	return err
+}
+
+// truncated reports a stream that ended inside the entry at jr.off.
+func (jr *JournalReader) truncated(err error) error {
+	return fmt.Errorf("%w at offset %d: %v", ErrJournalTruncated, jr.off, err)
 }
 
 // Journal is the daemon-side appender: a mutex-serialized append-only file.

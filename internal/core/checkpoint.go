@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
+
+	"repro/internal/wire"
 )
 
 // SumCheckpoint is the durable envelope for a rank's in-progress partial
@@ -30,6 +32,9 @@ const (
 	sumCheckpointVersion = 1
 )
 
+// errCheckpoint classifies every checkpoint decode failure.
+var errCheckpoint = errors.New("core: bad checkpoint")
+
 // MarshalBinary encodes the checkpoint as
 // magic(4) | version(1) | step(8, big-endian) | hp(MarshaledSize) | crc32(4).
 func (c *SumCheckpoint) MarshalBinary() ([]byte, error) {
@@ -40,38 +45,28 @@ func (c *SumCheckpoint) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, 4+1+8+len(hp)+4)
-	buf = append(buf, sumCheckpointMagic...)
-	buf = append(buf, sumCheckpointVersion)
+	buf := wire.StartEnvelope(make([]byte, 0, 4+1+8+len(hp)+4), sumCheckpointMagic, sumCheckpointVersion)
 	buf = binary.BigEndian.AppendUint64(buf, c.Step)
 	buf = append(buf, hp...)
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
+	return wire.Seal(buf, 0), nil
 }
 
 // UnmarshalBinary decodes and verifies a MarshalBinary encoding, replacing
 // c's fields. Any corruption — truncation, bit flips anywhere in the
 // envelope — fails with an error naming what went wrong.
 func (c *SumCheckpoint) UnmarshalBinary(data []byte) error {
-	const minLen = 4 + 1 + 8 + 4
-	if len(data) < minLen {
-		return fmt.Errorf("core: checkpoint of %d bytes, need at least %d", len(data), minLen)
+	body, err := wire.OpenEnvelope(data, sumCheckpointMagic, sumCheckpointVersion, errCheckpoint)
+	if err != nil {
+		return err
 	}
-	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(body); got != sum {
-		return fmt.Errorf("core: checkpoint checksum mismatch (stored %08x, computed %08x)", sum, got)
+	if len(body) < 8 {
+		return fmt.Errorf("%w: %d-byte body, need at least 8", errCheckpoint, len(body))
 	}
-	if string(body[:4]) != sumCheckpointMagic {
-		return fmt.Errorf("core: bad checkpoint magic %q", body[:4])
-	}
-	if body[4] != sumCheckpointVersion {
-		return fmt.Errorf("core: unsupported checkpoint version %d", body[4])
-	}
-	step := binary.BigEndian.Uint64(body[5:13])
 	var hp HP
-	if err := hp.UnmarshalBinary(body[13:]); err != nil {
+	if err := hp.UnmarshalBinary(body[8:]); err != nil {
 		return fmt.Errorf("core: checkpoint payload: %w", err)
 	}
-	c.Step = step
+	c.Step = binary.BigEndian.Uint64(body)
 	c.Sum = &hp
 	return nil
 }

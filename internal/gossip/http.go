@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // HTTPTransport delivers gossip frames by POSTing them to a peer's
@@ -62,12 +64,12 @@ func (n *Node) Handler() http.Handler {
 				http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 				return
 			}
-			body, err := io.ReadAll(io.LimitReader(r.Body, 4*(MaxFramePayload+frameOverhead)))
+			body, err := io.ReadAll(io.LimitReader(r.Body, 4*(MaxFramePayload+wire.Overhead)))
 			if err != nil {
 				http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
 				return
 			}
-			if err := n.HandleAll(body); err != nil {
+			if err := n.Handle(body); err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}

@@ -43,21 +43,21 @@ type Local interface {
 
 // Config configures a Node. Zero values get defaults where noted.
 type Config struct {
-	Self        Peer          // this node's identity (required)
-	Epoch       uint64        // lifetime epoch; restarts must bump past the recovered epoch
-	Params      core.Params   // cluster HP parameters (required, must validate)
-	Seeds       []Peer        // initial peers to join through
-	Interval    time.Duration // gossip round period (default 1s)
-	Fanout      int           // push and pull targets per round (default 2)
-	ViewSize    int           // bounded membership view (default 8)
-	SamplerSize int           // history sampler slots (default 16)
-	SuspectAfter int          // consecutive send failures before eviction (default 3)
-	QueueLen    int           // outbound frame queue (default 256)
-	Senders     int           // sender worker goroutines (default 2)
-	Seed        uint64        // PRNG seed for peer selection (default from Self.ID)
-	Local       Local         // local contribution source (may be nil)
-	Transport   Transport     // frame delivery (required)
-	Recovery    []byte        // checkpoint blob to restore, or nil
+	Self         Peer          // this node's identity (required)
+	Epoch        uint64        // lifetime epoch; restarts must bump past the recovered epoch
+	Params       core.Params   // cluster HP parameters (required, must validate)
+	Seeds        []Peer        // initial peers to join through
+	Interval     time.Duration // gossip round period (default 1s)
+	Fanout       int           // push and pull targets per round (default 2)
+	ViewSize     int           // bounded membership view (default 8)
+	SamplerSize  int           // history sampler slots (default 16)
+	SuspectAfter int           // consecutive send failures before eviction (default 3)
+	QueueLen     int           // outbound frame queue (default 256)
+	Senders      int           // sender worker goroutines (default 2)
+	Seed         uint64        // PRNG seed for peer selection (default from Self.ID)
+	Local        Local         // local contribution source (may be nil)
+	Transport    Transport     // frame delivery (required)
+	Recovery     []byte        // checkpoint blob to restore, or nil
 }
 
 // Node is one gossip cluster member: Brahms membership plus CRDT
@@ -393,23 +393,11 @@ func (n *Node) targetsLocked() []Peer {
 	return n.view.sample(n.cfg.Fanout, n.rnd)
 }
 
-// Handle decodes and processes one inbound gossip frame. It is safe to call
-// from any goroutine, including after Close (replies are silently dropped
-// then).
-func (n *Node) Handle(frame []byte) error {
-	m, _, err := DecodeMessage(frame)
-	if err != nil {
-		mBadFrames.Inc()
-		flight.Event("gossip-bad-frame", trace.Str("error", err.Error()))
-		return err
-	}
-	n.handleMsg(m)
-	return nil
-}
-
-// HandleAll walks a stream of concatenated frames (an HTTP POST body may
-// batch several), stopping at the first undecodable one.
-func (n *Node) HandleAll(data []byte) error {
+// Handle decodes and processes inbound gossip frames: one, or a stream of
+// concatenated ones (an HTTP POST body may batch several), stopping at the
+// first undecodable one. It is safe to call from any goroutine, including
+// after Close (replies are silently dropped then).
+func (n *Node) Handle(data []byte) error {
 	for len(data) > 0 {
 		m, used, err := DecodeMessage(data)
 		if err != nil {

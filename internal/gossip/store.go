@@ -6,12 +6,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sort"
 
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // entryKey is a contribution's identity: one accumulator name, one origin
@@ -58,24 +58,27 @@ func (s *Store) Params() core.Params { return s.params }
 func (s *Store) Len() int { return len(s.entries) }
 
 // decodeEnv unwraps one server FrameHP hand-off envelope and checks its
-// parameters against the cluster's.
+// parameters against the cluster's. The envelope must be exactly one frame:
+// trailing bytes would make two different byte strings carry the same
+// partial, defeating the equivocation check.
 func (s *Store) decodeEnv(env []byte) (*core.HP, error) {
-	d := server.NewFrameDecoder(bytes.NewReader(env), MaxFramePayload)
-	f, err := d.Next()
-	if err != nil {
+	f, n, err := wire.Split(env, &server.IngestFrames, MaxFramePayload)
+	switch {
+	case err != nil:
 		return nil, fmt.Errorf("gossip: bad contribution envelope: %w", err)
-	}
-	if f.Type != server.FrameHP {
+	case f.Type != server.FrameHP:
 		return nil, fmt.Errorf("gossip: contribution envelope is frame type %q, want %q", f.Type, server.FrameHP)
+	case n != len(env):
+		return nil, fmt.Errorf("gossip: bad contribution envelope: %d trailing bytes", len(env)-n)
 	}
-	h, err := f.HP()
-	if err != nil {
+	var h core.HP
+	if err := h.UnmarshalBinary(f.Payload); err != nil {
 		return nil, fmt.Errorf("gossip: bad contribution envelope: %w", err)
 	}
 	if h.Params() != s.params {
 		return nil, fmt.Errorf("%w: got %+v, want %+v", ErrParams, h.Params(), s.params)
 	}
-	return h, nil
+	return &h, nil
 }
 
 // Put joins one remote entry into the map. It returns applied=true when the
@@ -298,18 +301,18 @@ func (s *Store) ClusterSum(acc string) (ClusterInfo, error) {
 	return info, nil
 }
 
-// Checkpoint blob: magic | version | node epoch | entry count | entries
-// (wire encoding) | crc32. The node's epoch rides along so a restart can
-// bump past it.
-var checkpointMagic = []byte("HPGC")
-
-const checkpointVersion = 1
+// Checkpoint blob: a wire envelope "HPGC" whose body is the node epoch(8),
+// entry count(4) and the entries in their gossip wire encoding. The node's
+// epoch rides along so a restart can bump past it.
+const (
+	checkpointMagic   = "HPGC"
+	checkpointVersion = 1
+)
 
 // Checkpoint serializes the contribution map plus the owning node's epoch
 // into a self-verifying blob for a CheckpointStore.
 func (s *Store) Checkpoint(epoch uint64) ([]byte, error) {
-	buf := append([]byte(nil), checkpointMagic...)
-	buf = append(buf, checkpointVersion)
+	buf := wire.StartEnvelope(nil, checkpointMagic, checkpointVersion)
 	buf = binary.BigEndian.AppendUint64(buf, epoch)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.entries)))
 	var keys []entryKey
@@ -324,7 +327,7 @@ func (s *Store) Checkpoint(epoch uint64) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
+	return wire.Seal(buf, 0), nil
 }
 
 // RestoreCheckpoint joins a checkpoint blob's entries into the store and
@@ -332,34 +335,25 @@ func (s *Store) Checkpoint(epoch uint64) ([]byte, error) {
 // epoch, freezing the old entries (they keep converging via anti-entropy)
 // while new local frames accrue under the new epoch.
 func (s *Store) RestoreCheckpoint(data []byte) (epoch uint64, err error) {
-	const headLen = 4 + 1 + 8 + 4
-	if len(data) < headLen+4 || !bytes.Equal(data[:4], checkpointMagic) {
-		return 0, fmt.Errorf("%w: bad header", ErrBadCheckpoint)
+	body, err := wire.OpenEnvelope(data, checkpointMagic, checkpointVersion, ErrBadCheckpoint)
+	if err != nil {
+		return 0, err
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(tail) {
-		return 0, fmt.Errorf("%w: checksum mismatch", ErrBadCheckpoint)
-	}
-	if body[4] != checkpointVersion {
-		return 0, fmt.Errorf("%w: version %d", ErrBadCheckpoint, body[4])
-	}
-	epoch = binary.BigEndian.Uint64(body[5:13])
-	count := int(binary.BigEndian.Uint32(body[13:17]))
-	d := wireReader{buf: body[headLen:]}
-	for i := 0; i < count && d.err == nil; i++ {
-		e := d.entry()
-		if d.err != nil {
-			break
-		}
-		if _, err := s.Put(e); err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+	c := wire.NewCursor(body, ErrFrameTrunc, ErrFrameBounds)
+	epoch = c.U64()
+	count := int(c.U32())
+	for i := 0; i < count && c.Err() == nil; i++ {
+		if e := readEntry(&c); c.Err() == nil {
+			if _, err := s.Put(e); err != nil {
+				return 0, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+			}
 		}
 	}
-	if d.err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadCheckpoint, d.err)
+	if err := c.Err(); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
-	if len(d.buf) != 0 {
-		return 0, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(d.buf))
+	if c.Len() != 0 {
+		return 0, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, c.Len())
 	}
 	return epoch, nil
 }

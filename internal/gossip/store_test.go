@@ -72,6 +72,22 @@ func TestStoreJoinSemantics(t *testing.T) {
 	}
 }
 
+// TestStorePutRejectsTrailingBytes: a contribution envelope is exactly one
+// FrameHP frame. A valid frame followed by junk must be rejected, not
+// stored: otherwise two different byte strings carry the same partial and
+// the equivocation check compares the junk.
+func TestStorePutRejectsTrailingBytes(t *testing.T) {
+	s := NewStore(core.Params384)
+	e := mkEntry(t, "acc", "n1", 1, 3, 1.0, 2.0)
+	e.Env = append(e.Env, 0xde, 0xad)
+	if applied, err := s.Put(e); err == nil || applied {
+		t.Fatalf("junk-trailed envelope: applied=%v err=%v", applied, err)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("store kept %d entries, want 0", s.Len())
+	}
+}
+
 // TestStoreClusterSumOrderInvariant: two stores fed the same contributions
 // in different orders (and with different stale/duplicate interleavings)
 // must produce bit-identical cluster reads — HP text and SHA-256 digest.

@@ -22,19 +22,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"strings"
 
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
-// Wire format: one gossip frame is
-//
-//	kind(1) | payloadLen(4, big-endian) | payload | crc32(4, big-endian)
-//
-// with the CRC-32 (IEEE, matching the server ingest frames and the
-// core.SumCheckpoint convention) covering everything before it. Four frame
-// kinds exist, all asynchronous one-way messages so neither transport (HTTP
-// POST or mpi reliable frames) needs blocking request/response matching:
+// Wire format: one gossip frame is a wire frame (kind | payloadLen |
+// payload | crc32; see DESIGN "Wire formats"). Five frame kinds exist, all
+// asynchronous one-way messages so neither transport (HTTP POST or mpi
+// reliable frames) needs blocking request/response matching:
 //
 //	'P' — push: the sender advertises itself, a bounded view sample, and
 //	      its contribution digests (Brahms push + anti-entropy probe);
@@ -57,10 +54,6 @@ const (
 	MsgLeave   byte = 'L'
 
 	wireVersion = 1
-
-	frameHeaderLen  = 5 // kind + payload length
-	frameTrailerLen = 4 // crc32
-	frameOverhead   = frameHeaderLen + frameTrailerLen
 )
 
 // MaxFramePayload caps one gossip frame's payload, mirroring the server
@@ -90,6 +83,15 @@ var (
 	ErrFrameVersion  = errors.New("gossip: unknown wire version")
 	ErrFrameBounds   = errors.New("gossip: frame section exceeds bounds")
 )
+
+// gossipFrames is the gossip frame format.
+var gossipFrames = wire.Spec{
+	Types:    string([]byte{MsgPush, MsgPullReq, MsgPullRep, MsgDelta, MsgLeave}),
+	Trunc:    ErrFrameTrunc,
+	Type:     ErrFrameKind,
+	TooLarge: ErrFrameTooLarge,
+	Checksum: ErrFrameChecksum,
+}
 
 // Peer identifies one cluster member: a stable node id plus the address its
 // transport delivers to (a base URL for HTTP, a decimal rank for mpi).
@@ -141,9 +143,7 @@ type Message struct {
 // beyond the wire bounds are an error — callers bound them when building
 // messages, so an oversize here is a bug, not an input condition.
 func AppendMessage(buf []byte, m *Message) ([]byte, error) {
-	switch m.Kind {
-	case MsgPush, MsgPullReq, MsgPullRep, MsgDelta, MsgLeave:
-	default:
+	if strings.IndexByte(gossipFrames.Types, m.Kind) < 0 {
 		return buf, fmt.Errorf("%w 0x%02x", ErrFrameKind, m.Kind)
 	}
 	if len(m.View) > MaxViewEntries || len(m.Digests) > MaxDigests || len(m.Entries) > MaxEntries {
@@ -151,10 +151,7 @@ func AppendMessage(buf []byte, m *Message) ([]byte, error) {
 			ErrFrameBounds, len(m.View), len(m.Digests), len(m.Entries))
 	}
 	start := len(buf)
-	buf = append(buf, m.Kind)
-	buf = binary.BigEndian.AppendUint32(buf, 0) // payload length, patched below
-	payloadStart := len(buf)
-
+	buf = wire.Begin(buf, m.Kind)
 	buf = append(buf, wireVersion)
 	var err error
 	if buf, err = appendPeer(buf, m.From); err != nil {
@@ -183,12 +180,10 @@ func AppendMessage(buf []byte, m *Message) ([]byte, error) {
 		}
 	}
 
-	plen := len(buf) - payloadStart
-	if plen > MaxFramePayload {
+	if plen := len(buf) - start - wire.HeaderLen; plen > MaxFramePayload {
 		return buf[:start], fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, plen, MaxFramePayload)
 	}
-	binary.BigEndian.PutUint32(buf[start+1:], uint32(plen))
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:])), nil
+	return wire.End(buf, start), nil
 }
 
 func appendPeer(buf []byte, p Peer) ([]byte, error) {
@@ -256,185 +251,87 @@ func checkNames(acc, node string) error {
 // is walked. Decoded byte slices (entry envelopes) are copies — they do not
 // alias data.
 func DecodeMessage(data []byte) (*Message, int, error) {
-	if len(data) < frameOverhead {
-		return nil, 0, fmt.Errorf("%w: %d bytes", ErrFrameTrunc, len(data))
+	f, total, err := wire.Split(data, &gossipFrames, MaxFramePayload)
+	if err != nil {
+		return nil, 0, err
 	}
-	kind := data[0]
-	switch kind {
-	case MsgPush, MsgPullReq, MsgPullRep, MsgDelta, MsgLeave:
-	default:
-		return nil, 0, fmt.Errorf("%w 0x%02x", ErrFrameKind, kind)
-	}
-	plen := int(binary.BigEndian.Uint32(data[1:5]))
-	if plen > MaxFramePayload {
-		return nil, 0, fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, plen, MaxFramePayload)
-	}
-	total := frameHeaderLen + plen + frameTrailerLen
-	if len(data) < total {
-		return nil, 0, fmt.Errorf("%w: frame claims %d bytes, have %d", ErrFrameTrunc, total, len(data))
-	}
-	body := data[:frameHeaderLen+plen]
-	stored := binary.BigEndian.Uint32(data[frameHeaderLen+plen:])
-	if got := crc32.ChecksumIEEE(body); got != stored {
-		return nil, 0, fmt.Errorf("%w (stored %08x, computed %08x)", ErrFrameChecksum, stored, got)
-	}
-
-	d := wireReader{buf: body[frameHeaderLen:]}
-	if v := d.u8(); v != wireVersion {
+	c := wire.NewCursor(f.Payload, ErrFrameTrunc, ErrFrameBounds)
+	if v := c.U8(); v != wireVersion {
 		return nil, 0, fmt.Errorf("%w %d", ErrFrameVersion, v)
 	}
-	m := &Message{Kind: kind}
-	m.From = d.peer()
-	m.Epoch = d.u64()
-	m.Trace = trace.Context{TraceID: d.u64(), SpanID: d.u64()}
+	m := &Message{Kind: f.Type}
+	m.From = readPeer(&c)
+	m.Epoch = c.U64()
+	m.Trace = trace.Context{TraceID: c.U64(), SpanID: c.U64()}
 
-	nview := int(d.u16())
-	if nview > MaxViewEntries {
-		return nil, 0, fmt.Errorf("%w: %d view entries > %d", ErrFrameBounds, nview, MaxViewEntries)
+	for i, n := 0, readCount(&c, MaxViewEntries, "view entries"); i < n && c.Err() == nil; i++ {
+		m.View = append(m.View, readPeer(&c))
 	}
-	for i := 0; i < nview && d.err == nil; i++ {
-		m.View = append(m.View, d.peer())
+	for i, n := 0, readCount(&c, MaxDigests, "digests"); i < n && c.Err() == nil; i++ {
+		m.Digests = append(m.Digests, readDigest(&c))
 	}
-	ndig := int(d.u16())
-	if d.err == nil && ndig > MaxDigests {
-		return nil, 0, fmt.Errorf("%w: %d digests > %d", ErrFrameBounds, ndig, MaxDigests)
+	for i, n := 0, readCount(&c, MaxEntries, "entries"); i < n && c.Err() == nil; i++ {
+		m.Entries = append(m.Entries, readEntry(&c))
 	}
-	for i := 0; i < ndig && d.err == nil; i++ {
-		m.Digests = append(m.Digests, d.digest())
+	if err := c.Err(); err != nil {
+		return nil, 0, err
 	}
-	nent := int(d.u16())
-	if d.err == nil && nent > MaxEntries {
-		return nil, 0, fmt.Errorf("%w: %d entries > %d", ErrFrameBounds, nent, MaxEntries)
-	}
-	for i := 0; i < nent && d.err == nil; i++ {
-		m.Entries = append(m.Entries, d.entry())
-	}
-	if d.err != nil {
-		return nil, 0, d.err
-	}
-	if len(d.buf) != 0 {
-		return nil, 0, fmt.Errorf("%w: %d trailing payload bytes", ErrFrameTrunc, len(d.buf))
-	}
-	if m.From.ID == "" {
-		return nil, 0, fmt.Errorf("gossip: frame without sender id")
+	if c.Len() != 0 {
+		return nil, 0, fmt.Errorf("%w: %d trailing payload bytes", ErrFrameTrunc, c.Len())
 	}
 	return m, total, nil
 }
 
-// wireReader is a bounds-checked cursor over one frame's payload. The first
-// failed read latches err and every later read returns zero values, so the
-// decode loop stays linear without per-field error plumbing.
-type wireReader struct {
-	buf []byte
-	err error
-}
-
-func (d *wireReader) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: reading %s", ErrFrameTrunc, what)
+// readCount reads a section's uint16 item count and checks it against
+// limit before any item is walked.
+func readCount(c *wire.Cursor, limit int, what string) int {
+	n := int(c.U16())
+	if c.Err() == nil && n > limit {
+		c.Fail(fmt.Errorf("%w: %d %s > %d", ErrFrameBounds, n, what, limit))
 	}
+	return n
 }
 
-func (d *wireReader) u8() byte {
-	if d.err != nil || len(d.buf) < 1 {
-		d.fail("byte")
-		return 0
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
-}
-
-func (d *wireReader) u16() uint16 {
-	if d.err != nil || len(d.buf) < 2 {
-		d.fail("uint16")
-		return 0
-	}
-	v := binary.BigEndian.Uint16(d.buf)
-	d.buf = d.buf[2:]
-	return v
-}
-
-func (d *wireReader) u64() uint64 {
-	if d.err != nil || len(d.buf) < 8 {
-		d.fail("uint64")
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v
-}
-
-func (d *wireReader) bytes(n int, what string) []byte {
-	if d.err != nil || n < 0 || len(d.buf) < n {
-		d.fail(what)
-		return nil
-	}
-	v := d.buf[:n]
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *wireReader) str(n int, max int, what string) string {
-	if d.err == nil && n > max {
-		d.err = fmt.Errorf("%w: %s length %d > %d", ErrFrameBounds, what, n, max)
-		return ""
-	}
-	return string(d.bytes(n, what))
-}
-
-func (d *wireReader) peer() Peer {
+func readPeer(c *wire.Cursor) Peer {
 	var p Peer
-	p.ID = d.str(int(d.u8()), maxIDLen, "peer id")
-	p.Addr = d.str(int(d.u16()), maxAddrLen, "peer addr")
-	if d.err == nil && p.ID == "" {
-		d.err = fmt.Errorf("gossip: empty peer id")
+	p.ID = string(c.Bytes(int(c.U8()), maxIDLen, "peer id"))
+	p.Addr = string(c.Bytes(int(c.U16()), maxAddrLen, "peer addr"))
+	if c.Err() == nil && p.ID == "" {
+		c.Fail(fmt.Errorf("gossip: empty peer id"))
 	}
 	return p
 }
 
-func (d *wireReader) digest() Digest {
+func readDigest(c *wire.Cursor) Digest {
 	var g Digest
-	g.Acc = d.str(int(d.u8()), maxAccLen, "digest acc")
-	g.Node = d.str(int(d.u8()), maxIDLen, "digest node")
-	g.Epoch = d.u64()
-	g.Version = d.u64()
-	copy(g.Sum[:], d.bytes(8, "digest sum"))
-	if d.err == nil && (g.Acc == "" || g.Node == "") {
-		d.err = fmt.Errorf("gossip: empty digest key")
+	g.Acc = string(c.Bytes(int(c.U8()), maxAccLen, "digest acc"))
+	g.Node = string(c.Bytes(int(c.U8()), maxIDLen, "digest node"))
+	g.Epoch = c.U64()
+	g.Version = c.U64()
+	copy(g.Sum[:], c.Bytes(len(g.Sum), len(g.Sum), "digest sum"))
+	if c.Err() == nil && (g.Acc == "" || g.Node == "") {
+		c.Fail(fmt.Errorf("gossip: empty digest key"))
 	}
 	return g
 }
 
-func (d *wireReader) entry() Entry {
+func readEntry(c *wire.Cursor) Entry {
 	var e Entry
-	e.Acc = d.str(int(d.u8()), maxAccLen, "entry acc")
-	e.Node = d.str(int(d.u8()), maxIDLen, "entry node")
-	e.Epoch = d.u64()
-	e.Version = d.u64()
-	e.Adds = d.u64()
-	e.Frames = d.u64()
-	elen := int(d.u32())
-	if d.err == nil && (elen == 0 || elen > maxEnvLen) {
-		d.err = fmt.Errorf("%w: entry envelope length %d", ErrFrameBounds, elen)
-		return e
-	}
-	env := d.bytes(elen, "entry envelope")
-	if d.err == nil && (e.Acc == "" || e.Node == "") {
-		d.err = fmt.Errorf("gossip: empty entry key")
-	}
-	if d.err == nil {
+	e.Acc = string(c.Bytes(int(c.U8()), maxAccLen, "entry acc"))
+	e.Node = string(c.Bytes(int(c.U8()), maxIDLen, "entry node"))
+	e.Epoch = c.U64()
+	e.Version = c.U64()
+	e.Adds = c.U64()
+	e.Frames = c.U64()
+	env := c.Bytes(int(c.U32()), maxEnvLen, "entry envelope")
+	switch {
+	case c.Err() != nil:
+	case len(env) == 0:
+		c.Fail(fmt.Errorf("%w: empty entry envelope", ErrFrameBounds))
+	case e.Acc == "" || e.Node == "":
+		c.Fail(fmt.Errorf("gossip: empty entry key"))
+	default:
 		e.Env = append([]byte(nil), env...)
 	}
 	return e
-}
-
-func (d *wireReader) u32() uint32 {
-	if d.err != nil || len(d.buf) < 4 {
-		d.fail("uint32")
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	return v
 }

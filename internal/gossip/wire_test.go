@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // testEnv builds a valid server FrameHP envelope for the given values.
@@ -123,8 +124,8 @@ func TestMessageBitFlips(t *testing.T) {
 // reframe recomputes the length and CRC trailer after a payload mutation,
 // so the table below tests the payload validators rather than the checksum.
 func reframe(frame []byte) []byte {
-	body := frame[:len(frame)-frameTrailerLen]
-	binary.BigEndian.PutUint32(body[1:5], uint32(len(body)-frameHeaderLen))
+	body := frame[:len(frame)-wire.TrailerLen]
+	binary.BigEndian.PutUint32(body[1:5], uint32(len(body)-wire.HeaderLen))
 	return binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 }
 
@@ -139,13 +140,13 @@ func TestMessageDecodeTable(t *testing.T) {
 		wantErr error // nil = any non-nil error
 	}{
 		{"empty", func(f []byte) []byte { return nil }, ErrFrameTrunc},
-		{"header only", func(f []byte) []byte { return f[:frameHeaderLen] }, ErrFrameTrunc},
+		{"header only", func(f []byte) []byte { return f[:wire.HeaderLen] }, ErrFrameTrunc},
 		{"unknown kind", func(f []byte) []byte {
 			f[0] = 'Z'
 			return reframe(f)
 		}, ErrFrameKind},
 		{"bad wire version", func(f []byte) []byte {
-			f[frameHeaderLen] = 99
+			f[wire.HeaderLen] = 99
 			return reframe(f)
 		}, ErrFrameVersion},
 		{"oversize length prefix", func(f []byte) []byte {
@@ -157,21 +158,21 @@ func TestMessageDecodeTable(t *testing.T) {
 			return f
 		}, ErrFrameTrunc},
 		{"corrupt payload byte", func(f []byte) []byte {
-			f[frameHeaderLen+3] ^= 0xff
+			f[wire.HeaderLen+3] ^= 0xff
 			return f
 		}, ErrFrameChecksum},
 		{"trailing garbage inside payload", func(f []byte) []byte {
-			f = append(f[:len(f)-frameTrailerLen], 0xde, 0xad)
+			f = append(f[:len(f)-wire.TrailerLen], 0xde, 0xad)
 			return reframe(f)
 		}, ErrFrameTrunc},
 		{"view count beyond bound", func(f []byte) []byte {
 			// View count sits after version + From peer + epoch + trace.
-			off := frameHeaderLen + 1 + (1 + len("node-a")) + (2 + len("http://127.0.0.1:9001")) + 8 + 16
+			off := wire.HeaderLen + 1 + (1 + len("node-a")) + (2 + len("http://127.0.0.1:9001")) + 8 + 16
 			binary.BigEndian.PutUint16(f[off:], MaxViewEntries+1)
 			return reframe(f)
 		}, ErrFrameBounds},
 		{"view count claims more than present", func(f []byte) []byte {
-			off := frameHeaderLen + 1 + (1 + len("node-a")) + (2 + len("http://127.0.0.1:9001")) + 8 + 16
+			off := wire.HeaderLen + 1 + (1 + len("node-a")) + (2 + len("http://127.0.0.1:9001")) + 8 + 16
 			binary.BigEndian.PutUint16(f[off:], 60)
 			return reframe(f)
 		}, nil}, // garbage parsed as peers: bounds or truncation, either rejects

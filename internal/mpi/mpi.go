@@ -31,6 +31,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // mpiFlight is the substrate's flight-recorder ring: rank crashes,
@@ -776,13 +777,7 @@ func OpSumFloat64(inout, in []byte) error {
 }
 
 // EncodeFloat64s packs xs into a big-endian byte buffer for OpSumFloat64.
-func EncodeFloat64s(xs []float64) []byte {
-	buf := make([]byte, 0, 8*len(xs))
-	for _, x := range xs {
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	return buf
-}
+func EncodeFloat64s(xs []float64) []byte { return wire.AppendFloat64s(nil, xs) }
 
 // DecodeFloat64s unpacks a buffer written by EncodeFloat64s.
 func DecodeFloat64s(buf []byte) ([]float64, error) {

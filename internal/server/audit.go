@@ -1,13 +1,12 @@
 package server
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/audit"
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // Audit wiring. With auditing enabled the server keeps two append-only
@@ -151,12 +150,7 @@ func (aud *auditState) journalOp(name string, o op) error {
 		}
 		e.Kind, e.Payload = audit.JournalHP, env
 	default:
-		e.Kind = audit.JournalFloats
-		payload := make([]byte, 0, 8*len(o.xs))
-		for _, x := range o.xs {
-			payload = binary.BigEndian.AppendUint64(payload, math.Float64bits(x))
-		}
-		e.Payload = payload
+		e.Kind, e.Payload = audit.JournalFloats, wire.AppendFloat64s(nil, o.xs)
 	}
 	if err := aud.journal.Append(e); err != nil {
 		return err

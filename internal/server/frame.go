@@ -16,21 +16,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
-// Wire format of the streaming ingest payload: a sequence of self-checking
-// frames, each
-//
-//	type(1) | payloadLen(4, big-endian) | payload | crc32(4, big-endian)
-//
-// where the CRC-32 (IEEE, matching the core.SumCheckpoint convention) covers
-// everything before it — header and payload. Two frame types exist:
+// Wire format of the streaming ingest payload: a sequence of wire frames
+// (type | payloadLen | payload | crc32; see DESIGN "Wire formats") of
+// three types:
 //
 //	'f' — a batch of float64 values, 8 bytes each, big-endian IEEE-754 bit
 //	      patterns (the same byte order as HP limb images);
@@ -52,10 +46,6 @@ const (
 	FrameHP      byte = 'h'
 	FrameTrace   byte = 'T'
 
-	frameHeaderLen  = 5 // type + payload length
-	frameTrailerLen = 4 // crc32
-	frameOverhead   = frameHeaderLen + frameTrailerLen
-
 	// traceFramePayloadLen is the fixed payload size of a FrameTrace:
 	// traceID(8) | spanID(8).
 	traceFramePayloadLen = 16
@@ -76,16 +66,21 @@ var (
 	ErrFrameTrunc    = errors.New("server: truncated frame")
 )
 
+// IngestFrames is the ingest stream's frame format, for decoding with
+// package wire.
+var IngestFrames = wire.Spec{
+	Types:    string([]byte{FrameFloat64, FrameHP, FrameTrace}),
+	Trunc:    ErrFrameTrunc,
+	Type:     ErrFrameType,
+	TooLarge: ErrFrameTooLarge,
+	Checksum: ErrFrameChecksum,
+}
+
 // AppendFloatFrame appends a FrameFloat64 frame holding xs to buf and
 // returns the extended slice.
 func AppendFloatFrame(buf []byte, xs []float64) []byte {
 	start := len(buf)
-	buf = append(buf, FrameFloat64)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(8*len(xs)))
-	for _, x := range xs {
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+	return wire.End(wire.AppendFloat64s(wire.Begin(buf, FrameFloat64), xs), start)
 }
 
 // AppendHPFrame appends a FrameHP frame holding x's self-describing binary
@@ -96,10 +91,7 @@ func AppendHPFrame(buf []byte, x *core.HP) ([]byte, error) {
 		return buf, err
 	}
 	start := len(buf)
-	buf = append(buf, FrameHP)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(env)))
-	buf = append(buf, env...)
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:])), nil
+	return wire.End(append(wire.Begin(buf, FrameHP), env...), start), nil
 }
 
 // AppendTraceFrame appends a FrameTrace frame carrying ctx to buf and
@@ -110,127 +102,41 @@ func AppendTraceFrame(buf []byte, ctx trace.Context) []byte {
 		return buf
 	}
 	start := len(buf)
-	buf = append(buf, FrameTrace)
-	buf = binary.BigEndian.AppendUint32(buf, traceFramePayloadLen)
+	buf = wire.Begin(buf, FrameTrace)
 	buf = binary.BigEndian.AppendUint64(buf, ctx.TraceID)
 	buf = binary.BigEndian.AppendUint64(buf, ctx.SpanID)
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+	return wire.End(buf, start)
 }
 
-// Frame is one decoded ingest frame. Payload aliases the decoder's internal
-// buffer and is only valid until the next call to Next.
-type Frame struct {
-	Type    byte
-	Payload []byte
-}
-
-// Floats decodes a FrameFloat64 payload into out (reused if capacity
+// frameFloats decodes a FrameFloat64 payload into out (reused if capacity
 // allows). Non-finite values are rejected here, at admission, so a poisoned
 // frame cannot wedge a named accumulator into a permanent sticky-error
 // state; range errors (overflow/underflow of the HP format) remain per-
 // accumulator sticky errors, as in the rest of the repo.
-func (f Frame) Floats(out []float64) ([]float64, error) {
-	if f.Type != FrameFloat64 {
-		return nil, fmt.Errorf("server: Floats on frame type %q", f.Type)
+func frameFloats(out []float64, payload []byte) ([]float64, error) {
+	xs, err := wire.Float64s(out, payload, core.ErrNotFinite)
+	if err != nil {
+		return nil, fmt.Errorf("server: float frame: %w", err)
 	}
-	if len(f.Payload)%8 != 0 {
-		return nil, fmt.Errorf("server: float frame payload of %d bytes is not a multiple of 8", len(f.Payload))
-	}
-	n := len(f.Payload) / 8
-	if cap(out) < n {
-		out = make([]float64, n)
-	}
-	out = out[:n]
-	for i := range out {
-		v := math.Float64frombits(binary.BigEndian.Uint64(f.Payload[8*i:]))
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("server: value %d in float frame: %w", i, core.ErrNotFinite)
-		}
-		out[i] = v
-	}
-	return out, nil
+	return xs, nil
 }
 
-// TraceContext decodes a FrameTrace payload.
-func (f Frame) TraceContext() (trace.Context, error) {
-	if f.Type != FrameTrace {
-		return trace.Context{}, fmt.Errorf("server: TraceContext on frame type %q", f.Type)
-	}
-	if len(f.Payload) != traceFramePayloadLen {
-		return trace.Context{}, fmt.Errorf("server: trace frame payload of %d bytes, want %d", len(f.Payload), traceFramePayloadLen)
+// frameTrace decodes a FrameTrace payload.
+func frameTrace(payload []byte) (trace.Context, error) {
+	if len(payload) != traceFramePayloadLen {
+		return trace.Context{}, fmt.Errorf("server: trace frame payload of %d bytes, want %d", len(payload), traceFramePayloadLen)
 	}
 	return trace.Context{
-		TraceID: binary.BigEndian.Uint64(f.Payload),
-		SpanID:  binary.BigEndian.Uint64(f.Payload[8:]),
+		TraceID: binary.BigEndian.Uint64(payload),
+		SpanID:  binary.BigEndian.Uint64(payload[8:]),
 	}, nil
 }
 
-// HP decodes a FrameHP payload into a fresh HP value.
-func (f Frame) HP() (*core.HP, error) {
-	if f.Type != FrameHP {
-		return nil, fmt.Errorf("server: HP on frame type %q", f.Type)
-	}
+// frameHP decodes a FrameHP payload into a fresh HP value.
+func frameHP(payload []byte) (*core.HP, error) {
 	var h core.HP
-	if err := h.UnmarshalBinary(f.Payload); err != nil {
+	if err := h.UnmarshalBinary(payload); err != nil {
 		return nil, err
 	}
 	return &h, nil
-}
-
-// FrameDecoder reads frames from a byte stream, verifying structure and
-// checksum and bounding allocation by maxPayload regardless of what the
-// length prefix claims.
-type FrameDecoder struct {
-	r          io.Reader
-	maxPayload int
-	buf        []byte // header+payload+trailer of the current frame
-}
-
-// NewFrameDecoder returns a decoder reading from r. maxPayload <= 0 selects
-// MaxFramePayload.
-func NewFrameDecoder(r io.Reader, maxPayload int) *FrameDecoder {
-	if maxPayload <= 0 {
-		maxPayload = MaxFramePayload
-	}
-	return &FrameDecoder{r: r, maxPayload: maxPayload}
-}
-
-// Next reads and verifies the next frame. It returns io.EOF at a clean
-// stream end (no partial frame read), ErrFrameTrunc-wrapped errors for
-// mid-frame truncation, and checksum/type/size errors for corrupt input.
-// The returned Frame's payload is only valid until the following call.
-func (d *FrameDecoder) Next() (Frame, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(d.r, hdr[:1]); err != nil {
-		if err == io.EOF {
-			return Frame{}, io.EOF
-		}
-		return Frame{}, fmt.Errorf("%w: reading type: %v", ErrFrameTrunc, err)
-	}
-	ftype := hdr[0]
-	if ftype != FrameFloat64 && ftype != FrameHP && ftype != FrameTrace {
-		return Frame{}, fmt.Errorf("%w 0x%02x", ErrFrameType, ftype)
-	}
-	if _, err := io.ReadFull(d.r, hdr[1:]); err != nil {
-		return Frame{}, fmt.Errorf("%w: reading length: %v", ErrFrameTrunc, err)
-	}
-	plen := int(binary.BigEndian.Uint32(hdr[1:]))
-	if plen > d.maxPayload {
-		return Frame{}, fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, plen, d.maxPayload)
-	}
-	total := frameHeaderLen + plen + frameTrailerLen
-	if cap(d.buf) < total {
-		d.buf = make([]byte, total)
-	}
-	d.buf = d.buf[:total]
-	copy(d.buf, hdr[:])
-	if _, err := io.ReadFull(d.r, d.buf[frameHeaderLen:]); err != nil {
-		return Frame{}, fmt.Errorf("%w: reading %d payload bytes: %v", ErrFrameTrunc, plen, err)
-	}
-	body := d.buf[:frameHeaderLen+plen]
-	stored := binary.BigEndian.Uint32(d.buf[frameHeaderLen+plen:])
-	if got := crc32.ChecksumIEEE(body); got != stored {
-		return Frame{}, fmt.Errorf("%w (stored %08x, computed %08x)", ErrFrameChecksum, stored, got)
-	}
-	return Frame{Type: ftype, Payload: body[frameHeaderLen:]}, nil
 }

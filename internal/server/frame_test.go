@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 func TestFloatFrameRoundTrip(t *testing.T) {
@@ -20,7 +21,7 @@ func TestFloatFrameRoundTrip(t *testing.T) {
 	}
 	for _, xs := range cases {
 		buf := AppendFloatFrame(nil, xs)
-		dec := NewFrameDecoder(bytes.NewReader(buf), 0)
+		dec := wire.NewDecoder(bytes.NewReader(buf), &IngestFrames, MaxFramePayload)
 		f, err := dec.Next()
 		if err != nil {
 			t.Fatalf("decode %v: %v", xs, err)
@@ -28,7 +29,7 @@ func TestFloatFrameRoundTrip(t *testing.T) {
 		if f.Type != FrameFloat64 {
 			t.Fatalf("type %q", f.Type)
 		}
-		got, err := f.Floats(nil)
+		got, err := frameFloats(nil, f.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,14 +56,14 @@ func TestHPFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFrameDecoder(bytes.NewReader(buf), 0).Next()
+	f, err := wire.NewDecoder(bytes.NewReader(buf), &IngestFrames, MaxFramePayload).Next()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Type != FrameHP {
 		t.Fatalf("type %q", f.Type)
 	}
-	got, err := f.HP()
+	got, err := frameHP(f.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestFrameDecoderMultiple(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf = AppendFloatFrame(buf, []float64{4})
-	dec := NewFrameDecoder(bytes.NewReader(buf), 0)
+	dec := wire.NewDecoder(bytes.NewReader(buf), &IngestFrames, MaxFramePayload)
 	types := []byte{}
 	for {
 		f, err := dec.Next()
@@ -105,7 +106,7 @@ func TestFrameDecoderRejectsCorruption(t *testing.T) {
 		for pos := 0; pos < len(valid); pos++ {
 			mauled := append([]byte(nil), valid...)
 			mauled[pos] ^= 0x40
-			_, err := NewFrameDecoder(bytes.NewReader(mauled), 0).Next()
+			_, err := wire.NewDecoder(bytes.NewReader(mauled), &IngestFrames, MaxFramePayload).Next()
 			if err == nil {
 				t.Fatalf("flip at byte %d accepted", pos)
 			}
@@ -113,7 +114,7 @@ func TestFrameDecoderRejectsCorruption(t *testing.T) {
 	})
 	t.Run("truncation", func(t *testing.T) {
 		for cut := 1; cut < len(valid); cut++ {
-			_, err := NewFrameDecoder(bytes.NewReader(valid[:cut]), 0).Next()
+			_, err := wire.NewDecoder(bytes.NewReader(valid[:cut]), &IngestFrames, MaxFramePayload).Next()
 			if err == nil || err == io.EOF {
 				t.Fatalf("truncation at %d bytes: err=%v", cut, err)
 			}
@@ -122,7 +123,7 @@ func TestFrameDecoderRejectsCorruption(t *testing.T) {
 	t.Run("bad-type", func(t *testing.T) {
 		mauled := append([]byte(nil), valid...)
 		mauled[0] = 'z'
-		_, err := NewFrameDecoder(bytes.NewReader(mauled), 0).Next()
+		_, err := wire.NewDecoder(bytes.NewReader(mauled), &IngestFrames, MaxFramePayload).Next()
 		if !errors.Is(err, ErrFrameType) {
 			t.Fatalf("err=%v, want ErrFrameType", err)
 		}
@@ -131,7 +132,7 @@ func TestFrameDecoderRejectsCorruption(t *testing.T) {
 		// A length prefix claiming 4 GiB must be rejected by the bound
 		// check, not attempted as an allocation.
 		hdr := []byte{FrameFloat64, 0xff, 0xff, 0xff, 0xf8}
-		_, err := NewFrameDecoder(bytes.NewReader(hdr), 0).Next()
+		_, err := wire.NewDecoder(bytes.NewReader(hdr), &IngestFrames, MaxFramePayload).Next()
 		if !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("err=%v, want ErrFrameTooLarge", err)
 		}
@@ -139,7 +140,7 @@ func TestFrameDecoderRejectsCorruption(t *testing.T) {
 	t.Run("checksum", func(t *testing.T) {
 		mauled := append([]byte(nil), valid...)
 		mauled[len(mauled)-1] ^= 0xff
-		_, err := NewFrameDecoder(bytes.NewReader(mauled), 0).Next()
+		_, err := wire.NewDecoder(bytes.NewReader(mauled), &IngestFrames, MaxFramePayload).Next()
 		if !errors.Is(err, ErrFrameChecksum) {
 			t.Fatalf("err=%v, want ErrFrameChecksum", err)
 		}
@@ -151,11 +152,11 @@ func TestFloatsRejectsNonFinite(t *testing.T) {
 		// Build the frame by hand: AppendFloatFrame would happily encode it,
 		// and the wire CRC is over the bit pattern, so it decodes structurally.
 		buf := AppendFloatFrame(nil, []float64{1, bad})
-		f, err := NewFrameDecoder(bytes.NewReader(buf), 0).Next()
+		f, err := wire.NewDecoder(bytes.NewReader(buf), &IngestFrames, MaxFramePayload).Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Floats(nil); !errors.Is(err, core.ErrNotFinite) {
+		if _, err := frameFloats(nil, f.Payload); !errors.Is(err, core.ErrNotFinite) {
 			t.Fatalf("%v: err=%v, want ErrNotFinite", bad, err)
 		}
 	}
@@ -163,8 +164,8 @@ func TestFloatsRejectsNonFinite(t *testing.T) {
 
 func TestFrameOverheadConstant(t *testing.T) {
 	buf := AppendFloatFrame(nil, []float64{1, 2, 3})
-	if len(buf) != frameOverhead+3*8 {
-		t.Fatalf("frame of 3 values is %d bytes, want %d", len(buf), frameOverhead+3*8)
+	if len(buf) != wire.Overhead+3*8 {
+		t.Fatalf("frame of 3 values is %d bytes, want %d", len(buf), wire.Overhead+3*8)
 	}
 	if got := int(binary.BigEndian.Uint32(buf[1:5])); got != 24 {
 		t.Fatalf("length prefix %d, want 24", got)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 // Fuzz target for the wire-frame decoder — the first thing untrusted client
@@ -64,7 +65,7 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewFrameDecoder(bytes.NewReader(data), 0)
+		dec := wire.NewDecoder(bytes.NewReader(data), &IngestFrames, MaxFramePayload)
 		var reencoded []byte
 		for {
 			fr, err := dec.Next()
@@ -82,13 +83,13 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 			switch fr.Type {
 			case FrameFloat64:
-				xs, err := fr.Floats(nil)
+				xs, err := frameFloats(nil, fr.Payload)
 				if err != nil {
 					return // non-finite payload rejected at admission
 				}
 				reencoded = AppendFloatFrame(reencoded, xs)
 			case FrameHP:
-				h, err := fr.HP()
+				h, err := frameHP(fr.Payload)
 				if err != nil {
 					return
 				}

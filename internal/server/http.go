@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // HTTP surface:
@@ -203,7 +204,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	skip := a.resumeCount(ingestID)
 	rc := http.NewResponseController(w)
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	dec := NewFrameDecoder(bufio.NewReader(body), s.cfg.MaxFramePayload)
+	dec := wire.NewDecoder(bufio.NewReader(body), &IngestFrames, s.cfg.MaxFramePayload)
 
 	// Ingest span, started lazily at the first frame so a leading
 	// FrameTrace can parent it under the client's send span. One span per
@@ -284,7 +285,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 			// request's ingest span, count nothing, touch no state. The
 			// resume protocol is untouched because frames_accepted only
 			// ever counts data frames.
-			wctx, err := f.TraceContext()
+			wctx, err := frameTrace(f.Payload)
 			if err != nil {
 				mBadFrames.Inc()
 				fail(http.StatusBadRequest, "%v", err)
@@ -293,7 +294,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 			ensureSpan(wctx)
 			continue
 		case FrameHP:
-			h, err := f.HP()
+			h, err := frameHP(f.Payload)
 			if err != nil {
 				mBadFrames.Inc()
 				fail(http.StatusBadRequest, "%v", err)
@@ -310,7 +311,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 				enqErr = a.AddHPTraced(h, span.Context())
 			}
 		default:
-			xs, err := f.Floats(nil)
+			xs, err := frameFloats(nil, f.Payload)
 			if err != nil {
 				mBadFrames.Inc()
 				fail(http.StatusBadRequest, "%v", err)
@@ -370,7 +371,7 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	dec := NewFrameDecoder(bufio.NewReader(body), s.cfg.MaxFramePayload)
+	dec := wire.NewDecoder(bufio.NewReader(body), &IngestFrames, s.cfg.MaxFramePayload)
 	b := core.NewSuper(p)
 	var adds, frames uint64
 	var xs []float64
@@ -392,7 +393,7 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
 		case FrameTrace:
 			continue // metadata: never counted, never summed
 		case FrameHP:
-			h, err := f.HP()
+			h, err := frameHP(f.Payload)
 			if err != nil || h.Params() != p {
 				mBadFrames.Inc()
 				writeErr(w, http.StatusBadRequest, "bad HP frame (err=%v)", err)
@@ -400,7 +401,7 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
 			}
 			b.AddHP(h)
 		default:
-			xs, err = f.Floats(xs)
+			xs, err = frameFloats(xs, f.Payload)
 			if err != nil {
 				mBadFrames.Inc()
 				writeErr(w, http.StatusBadRequest, "%v", err)

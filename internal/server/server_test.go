@@ -242,6 +242,27 @@ func TestFrameTooLargeRejected(t *testing.T) {
 	}
 }
 
+// TestRequestBodyCapRejected: a body cut off by MaxRequestBytes in the
+// middle of a frame is classified as oversize (413), not as a truncated
+// frame (400): the frame decoder keeps the read error in its chain.
+func TestRequestBodyCapRejected(t *testing.T) {
+	_, c := newTestServer(t, Config{MaxRequestBytes: 100})
+	if _, err := c.Create("x", core.Params{}); err != nil {
+		t.Fatal(err)
+	}
+	frame := AppendFloatFrame(nil, make([]float64, 20)) // 169 bytes > 100
+	for _, path := range []string{"/v1/acc/x/add", "/v1/sum"} {
+		resp, err := c.http().Post(c.url(path), "application/octet-stream", bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413", path, resp.StatusCode)
+		}
+	}
+}
+
 func TestBackpressure429AndResume(t *testing.T) {
 	// One shard with a one-deep queue and a negligible enqueue wait: a big
 	// frame parks the drain goroutine, the next fills the queue, and the

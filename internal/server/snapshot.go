@@ -2,34 +2,35 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // Snapshot file format — the durable image a graceful shutdown writes and
-// -restore reloads byte-identically:
-//
-//	magic "HPSS" | version(1) | count(4, big-endian) | entries | crc32(4)
-//
-// with each entry
+// -restore reloads byte-identically: a wire envelope "HPSS" (layout in
+// DESIGN "Wire formats") whose body is count(4) and then, per entry,
 //
 //	nameLen(2) | name | frames(8) | errLen(2) | err | ckptLen(4) | ckpt
 //
 // where ckpt is a core.SumCheckpoint envelope (itself CRC-guarded, carrying
 // the adds cursor and the exact merged HP sum — self-describing, so mixed
-// per-accumulator formats restore correctly). The outer CRC-32 (IEEE, the
-// repo-wide convention) covers everything before it, so truncation or
-// bit rot anywhere fails loudly at restore instead of seeding a silently
-// wrong service state.
+// per-accumulator formats restore correctly). The outer CRC-32 covers
+// everything before it, so truncation or bit rot anywhere fails loudly at
+// restore instead of seeding a silently wrong service state.
 
 const (
 	snapshotMagic   = "HPSS"
 	snapshotVersion = 1
 )
+
+// errSnapshot classifies every snapshot decode failure.
+var errSnapshot = errors.New("server: bad snapshot")
 
 // snapshotEntry is one accumulator's durable state.
 type snapshotEntry struct {
@@ -61,9 +62,7 @@ func (s *Server) Snapshot(path string) error {
 		}
 		entries = append(entries, snapshotEntry{name: name, frames: frames, errText: errText, ckpt: env})
 	}
-	buf := make([]byte, 0, 256)
-	buf = append(buf, snapshotMagic...)
-	buf = append(buf, snapshotVersion)
+	buf := wire.StartEnvelope(make([]byte, 0, 256), snapshotMagic, snapshotVersion)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(entries)))
 	for _, e := range entries {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.name)))
@@ -74,7 +73,7 @@ func (s *Server) Snapshot(path string) error {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.ckpt)))
 		buf = append(buf, e.ckpt...)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	buf = wire.Seal(buf, 0)
 	if err := writeFileDurable(path, buf); err != nil {
 		return fmt.Errorf("server: snapshot: %w", err)
 	}
@@ -140,63 +139,28 @@ func writeFileDurable(path string, buf []byte) error {
 
 // parseSnapshot decodes and verifies a snapshot image.
 func parseSnapshot(data []byte) ([]snapshotEntry, error) {
-	const minLen = 4 + 1 + 4 + 4
-	if len(data) < minLen {
-		return nil, fmt.Errorf("server: snapshot of %d bytes, need at least %d", len(data), minLen)
+	body, err := wire.OpenEnvelope(data, snapshotMagic, snapshotVersion, errSnapshot)
+	if err != nil {
+		return nil, err
 	}
-	body, stored := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(body); got != stored {
-		return nil, fmt.Errorf("server: snapshot checksum mismatch (stored %08x, computed %08x)", stored, got)
-	}
-	if string(body[:4]) != snapshotMagic {
-		return nil, fmt.Errorf("server: bad snapshot magic %q", body[:4])
-	}
-	if body[4] != snapshotVersion {
-		return nil, fmt.Errorf("server: unsupported snapshot version %d", body[4])
-	}
-	count := int(binary.BigEndian.Uint32(body[5:9]))
-	off := 9
-	need := func(n int) error {
-		if len(body)-off < n {
-			return fmt.Errorf("server: snapshot truncated at offset %d (need %d more bytes)", off, n)
-		}
-		return nil
-	}
+	c := wire.NewCursor(body, errSnapshot, errSnapshot)
+	count := int(c.U32())
 	entries := make([]snapshotEntry, 0, min(count, 1024))
-	for i := 0; i < count; i++ {
-		if err := need(2); err != nil {
-			return nil, err
+	for i := 0; i < count && c.Err() == nil; i++ {
+		e := snapshotEntry{name: string(c.Bytes(int(c.U16()), math.MaxUint16, "name"))}
+		e.frames = c.U64()
+		e.errText = string(c.Bytes(int(c.U16()), math.MaxUint16, "error text"))
+		e.ckpt = c.Bytes(int(c.U32()), math.MaxInt32, "checkpoint")
+		if c.Err() == nil && !validName(e.name) {
+			return nil, fmt.Errorf("server: snapshot entry %d: %w: %q", i, ErrBadName, e.name)
 		}
-		nameLen := int(binary.BigEndian.Uint16(body[off:]))
-		off += 2
-		if err := need(nameLen + 8 + 2); err != nil {
-			return nil, err
-		}
-		name := string(body[off : off+nameLen])
-		off += nameLen
-		frames := binary.BigEndian.Uint64(body[off:])
-		off += 8
-		errLen := int(binary.BigEndian.Uint16(body[off:]))
-		off += 2
-		if err := need(errLen + 4); err != nil {
-			return nil, err
-		}
-		errText := string(body[off : off+errLen])
-		off += errLen
-		ckptLen := int(binary.BigEndian.Uint32(body[off:]))
-		off += 4
-		if err := need(ckptLen); err != nil {
-			return nil, err
-		}
-		ckpt := body[off : off+ckptLen]
-		off += ckptLen
-		if !validName(name) {
-			return nil, fmt.Errorf("server: snapshot entry %d: %w: %q", i, ErrBadName, name)
-		}
-		entries = append(entries, snapshotEntry{name: name, frames: frames, errText: errText, ckpt: ckpt})
+		entries = append(entries, e)
 	}
-	if off != len(body) {
-		return nil, fmt.Errorf("server: %d trailing snapshot bytes", len(body)-off)
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	if c.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", errSnapshot, c.Len())
 	}
 	return entries, nil
 }
