@@ -6,8 +6,8 @@
 // shard, batch, and reorder freely without ever changing a ulp.
 //
 //	hpsumd -addr :8080                          # serve with Params384 default
-//	hpsumd -addr :8080 -snapshot state.hpss     # snapshot on graceful shutdown
-//	hpsumd -addr :8080 -restore state.hpss -snapshot state.hpss
+//	hpsumd -addr :8080 -snapshot state.hpar     # snapshot on graceful shutdown
+//	hpsumd -addr :8080 -restore state.hpar -snapshot state.hpar
 //	hpsumd -addr :8080 -replicas 3              # 2-of-3 certified reads
 //	hpsumd -addr :8080 -journal f.hpfj -audit-log a.hpal -audit-interval 30s
 //	hpsumd -addr :8081 -node-id b -peers http://127.0.0.1:8080 \
@@ -30,11 +30,12 @@
 // One listener carries both the service API (/v1/...) and the telemetry
 // exporter (/metrics, /debug/vars, /debug/pprof/). SIGINT or SIGTERM
 // triggers a graceful shutdown: stop accepting requests, drain every shard
-// queue, write the snapshot (if -snapshot is set), then exit. Restarting
-// with -restore reloads the snapshot byte-identically: the restored
-// accumulators carry the exact limbs, counters, and sticky errors they held
-// at shutdown, and adds accepted after restart continue the same exact
-// trajectory.
+// queue, write the snapshot (if -snapshot is set), then exit. A snapshot is
+// a one-record audit chain, so hpaudit can replay it against the frame
+// journal like the audit log. Restarting with -restore reloads the snapshot
+// byte-identically: the restored accumulators carry the exact limbs,
+// counters, and sticky errors they held at shutdown, and adds accepted
+// after restart continue the same exact trajectory.
 package main
 
 import (
@@ -273,7 +274,7 @@ func run(args []string, ready chan<- string, stop <-chan struct{}) error {
 		if *gossipState != "" {
 			if blob, err := n.Checkpoint(); err != nil {
 				fmt.Fprintf(os.Stderr, "hpsumd: gossip checkpoint: %v\n", err)
-			} else if err := os.WriteFile(*gossipState, blob, 0o644); err != nil {
+			} else if err := server.WriteFileDurable(*gossipState, blob); err != nil {
 				fmt.Fprintf(os.Stderr, "hpsumd: gossip state %s: %v\n", *gossipState, err)
 			} else {
 				fmt.Fprintf(os.Stderr, "hpsumd: gossip state written to %s\n", *gossipState)

@@ -257,6 +257,32 @@ func TestReplicatedAuditedLifecycle(t *testing.T) {
 	if fe.Adds != uint64(len(xs)+len(tail)) {
 		t.Fatalf("attested adds %d, want %d", fe.Adds, len(xs)+len(tail))
 	}
+
+	// The second shutdown's snapshot is a one-record chain: the same
+	// replay proves its totals against the same journal.
+	snapData, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapRecords, err := audit.ReadLog(snapData)
+	if err != nil {
+		t.Fatalf("snapshot is not an audit chain: %v", err)
+	}
+	if _, err := jf.Seek(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	sres, err := audit.Verify(snapRecords, audit.NewJournalReader(jf))
+	if err != nil {
+		t.Fatalf("snapshot replay failed: %v", err)
+	}
+	se := sres.Final["acc"]
+	var sh core.HP
+	if err := sh.UnmarshalBinary(se.Env); err != nil {
+		t.Fatal(err)
+	}
+	if !sh.Equal(oracle.Sum()) || se.Adds != uint64(len(xs)+len(tail)) {
+		t.Fatalf("snapshot attests adds=%d, want the oracle total over %d adds", se.Adds, len(xs)+len(tail))
+	}
 }
 
 // TestGossipCluster: two clustered daemons, each ingesting its own slice of

@@ -64,7 +64,11 @@ const (
 
 	maxReasonLen = 255
 	maxNameLen   = 128
-	maxEnvLen    = 1 << 16
+
+	// MaxEnvLen bounds one entry's canonical HP envelope. A server only
+	// admits formats whose envelope fits, so every accumulator's state can
+	// be attested and snapshotted.
+	MaxEnvLen = 1 << 16
 )
 
 // Decoding errors; all decode failures wrap one of these with positional
@@ -115,8 +119,8 @@ func EncodeRecord(buf []byte, r *Record) ([]byte, error) {
 		if len(e.Name) > maxNameLen {
 			return buf, fmt.Errorf("audit: entry name of %d bytes exceeds %d", len(e.Name), maxNameLen)
 		}
-		if len(e.Env) > maxEnvLen {
-			return buf, fmt.Errorf("audit: envelope of %d bytes exceeds %d", len(e.Env), maxEnvLen)
+		if len(e.Env) > MaxEnvLen {
+			return buf, fmt.Errorf("audit: envelope of %d bytes exceeds %d", len(e.Env), MaxEnvLen)
 		}
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.Name)))
 		buf = append(buf, e.Name...)
@@ -162,7 +166,7 @@ func DecodeRecord(data []byte) (*Record, int, error) {
 		e.Adds = c.U64()
 		e.ErrText = string(c.Bytes(int(c.U16()), math.MaxUint16, "error text"))
 		copy(e.Digest[:], c.Bytes(HashLen, HashLen, "digest"))
-		e.Env = append([]byte(nil), c.Bytes(int(c.U32()), maxEnvLen, "envelope")...)
+		e.Env = append([]byte(nil), c.Bytes(int(c.U32()), MaxEnvLen, "envelope")...)
 		if c.Err() == nil && e.Digest != DigestEnv(e.Env) {
 			return nil, 0, fmt.Errorf("%w: entry %q digest does not match its envelope", ErrLogCorrupt, e.Name)
 		}

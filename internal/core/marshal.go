@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -20,8 +21,12 @@ const marshalVersion = 1
 func MarshaledSize(p Params) int { return 5 + 8*p.N }
 
 // MarshalBinary encodes x as version(1) | N(2, big-endian) | K(2) | limbs
-// (8 bytes each, big-endian, most significant limb first).
+// (8 bytes each, big-endian, most significant limb first). A format whose N
+// or K does not fit the 16-bit fields has no envelope and is an error.
 func (x *HP) MarshalBinary() ([]byte, error) {
+	if x.p.N > math.MaxUint16 || x.p.K > math.MaxUint16 {
+		return nil, fmt.Errorf("core: (N=%d,k=%d) does not fit the HP encoding's 16-bit fields", x.p.N, x.p.K)
+	}
 	buf := make([]byte, 0, MarshaledSize(x.p))
 	buf = append(buf, marshalVersion)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(x.p.N))

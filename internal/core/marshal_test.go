@@ -136,3 +136,23 @@ func TestUnmarshalTextErrors(t *testing.T) {
 		}
 	}
 }
+
+// A format too wide for the 16-bit N/K fields must fail to encode rather
+// than wrap into an envelope that decodes to a different (or invalid)
+// format.
+func TestMarshalRejectsUnencodableFormat(t *testing.T) {
+	for _, p := range []Params{{N: 1 << 16, K: 0}, {N: 1<<16 + 2, K: 1 << 16}} {
+		if _, err := New(p).MarshalBinary(); err == nil {
+			t.Errorf("(N=%d,k=%d) encoded without error", p.N, p.K)
+		}
+	}
+	widest := Params{N: 1<<16 - 1, K: 1<<16 - 1}
+	data, err := New(widest).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back HP
+	if err := back.UnmarshalBinary(data); err != nil || back.Params() != widest {
+		t.Fatalf("widest encodable format: %v %v", back.Params(), err)
+	}
+}

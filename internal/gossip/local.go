@@ -7,9 +7,9 @@ import (
 )
 
 // ServerLocal adapts a *server.Server as a gossip contribution source: each
-// named accumulator's quiescent HP partial (via the engine's checkpoint
-// path, so it is the same fixed-order merged state snapshots and certified
-// reads see) becomes one contribution.
+// named accumulator's quiescent HP partial (via Accumulator.Envelope, the
+// same agreed cut snapshots, audit records and certified reads take)
+// becomes one contribution.
 //
 // The local engine holds ONLY locally-ingested frames; remote partials live
 // in the gossip store and are never folded back into the engine. That

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/audit"
-	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -85,18 +84,9 @@ func (s *Server) AuditRecord(reason string) (*audit.Record, error) {
 	if aud == nil {
 		return nil, errors.New("server: audit not enabled")
 	}
-	names := s.Names()
-	entries := make([]audit.Entry, 0, len(names))
-	for _, name := range names {
-		a := s.Lookup(name)
-		if a == nil {
-			continue // deleted between Names and Lookup
-		}
-		e, err := a.auditEntry()
-		if err != nil {
-			return nil, fmt.Errorf("server: audit cut %q: %w", name, err)
-		}
-		entries = append(entries, e)
+	entries, err := s.entries()
+	if err != nil {
+		return nil, fmt.Errorf("server: audit record: %w", err)
 	}
 	if err := aud.journal.Sync(); err != nil {
 		return nil, fmt.Errorf("server: audit journal sync: %w", err)
@@ -109,32 +99,35 @@ func (s *Server) AuditRecord(reason string) (*audit.Record, error) {
 	return rec, nil
 }
 
-// auditEntry cuts this accumulator at a quiescent point: the exclusive
-// lock waits out every in-flight ingest (each of which journals before
-// releasing the shared lock), so the agreed frame count equals the
-// journaled frame count exactly.
-func (a *Accumulator) auditEntry() (audit.Entry, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st, _, _, err := a.agree()
-	if err != nil {
-		return audit.Entry{}, err
+// entries cuts every accumulator, in sorted name order, into its agreed
+// state as an audit entry — the one state image that both audit records
+// and snapshots persist. Each cut holds the accumulator's replication lock
+// exclusively, which waits out every in-flight ingest (each of which
+// journals before releasing the shared lock), so an entry's frame count
+// equals the accumulator's journaled frame count exactly.
+func (s *Server) entries() ([]audit.Entry, error) {
+	names := s.Names()
+	entries := make([]audit.Entry, 0, len(names))
+	for _, name := range names {
+		a := s.Lookup(name)
+		if a == nil {
+			continue // deleted between Names and Lookup
+		}
+		st, _, _, err := a.agree()
+		if err != nil {
+			return nil, fmt.Errorf("cut %q: %w", name, err)
+		}
+		env, err := st.sum.MarshalBinary()
+		if err != nil {
+			return nil, fmt.Errorf("cut %q: %w", name, err)
+		}
+		e := audit.Entry{Name: name, Frames: st.frames, Adds: st.adds, Digest: audit.DigestEnv(env), Env: env}
+		if st.err != nil {
+			e.ErrText = st.err.Error()
+		}
+		entries = append(entries, e)
 	}
-	env, err := st.sum.MarshalBinary()
-	if err != nil {
-		return audit.Entry{}, err
-	}
-	e := audit.Entry{
-		Name:   a.name,
-		Frames: st.frames,
-		Adds:   st.adds,
-		Digest: audit.DigestEnv(env),
-		Env:    env,
-	}
-	if st.err != nil {
-		e.ErrText = st.err.Error()
-	}
-	return e, nil
+	return entries, nil
 }
 
 // journalOp records one accepted ingest frame. Called under the
@@ -162,13 +155,13 @@ func (aud *auditState) journalOp(name string, o op) error {
 // journalSeed records a restore hand-off: the exact state and counters the
 // accumulator was seeded with, so replay can verify the restored state
 // extends the journaled trajectory bit for bit.
-func (aud *auditState) journalSeed(name string, ck *core.SumCheckpoint, frames uint64) error {
-	env, err := ck.Sum.MarshalBinary()
+func (aud *auditState) journalSeed(name string, st engineState) error {
+	env, err := st.sum.MarshalBinary()
 	if err != nil {
 		return err
 	}
 	return aud.journal.Append(&audit.JournalEntry{
 		Kind: audit.JournalSeed, Name: name,
-		Frames: frames, Adds: ck.Step, Payload: env,
+		Frames: st.frames, Adds: st.adds, Payload: env,
 	})
 }

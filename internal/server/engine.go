@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,8 +24,8 @@ type engine struct {
 	shards []*shard
 	next   atomic.Uint64 // round-robin dispatch cursor
 
-	// Seed state: a restored checkpoint (or a reseed hand-off from a peer
-	// replica) lands the HP value on shard 0 and carries its counters and
+	// Seed state: a restored state image (or a reseed hand-off from the
+	// agreed state) lands the HP value on shard 0 and carries its counters and
 	// sticky error here.
 	baseAdds    uint64
 	baseFrames  uint64
@@ -265,23 +264,17 @@ func (e *engine) state(tctx trace.Context) (engineState, error) {
 	return engineState{sum: merged.Sum(), err: firstErr, adds: adds, frames: frames}, nil
 }
 
-// seed installs a checkpoint: the HP value lands on shard 0's queue
-// (associativity makes the landing shard irrelevant) and the counters and
-// sticky error are carried at the engine level. Only valid before the
+// seed installs an agreed state: a copy of its HP value lands on shard 0's
+// queue (associativity makes the landing shard irrelevant) and the counters
+// and sticky error are carried at the engine level. Only valid before the
 // engine serves reads, or while its Accumulator holds the write lock.
-func (e *engine) seed(ck *core.SumCheckpoint, frames uint64, errText string) error {
-	if ck.Sum.Params() != e.params {
+func (e *engine) seed(st engineState) error {
+	if st.sum.Params() != e.params {
 		return core.ErrParamMismatch
 	}
-	if err := e.enqueue(op{hp: ck.Sum, seed: true}, true); err != nil {
+	if err := e.enqueue(op{hp: st.sum.Clone(), seed: true}, true); err != nil {
 		return err
 	}
-	e.baseAdds = ck.Step
-	e.baseFrames = frames
-	if errText != "" {
-		e.restoredErr = errors.New(errText)
-	} else {
-		e.restoredErr = nil
-	}
+	e.baseAdds, e.baseFrames, e.restoredErr = st.adds, st.frames, st.err
 	return nil
 }

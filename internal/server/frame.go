@@ -1,7 +1,7 @@
 // Package server implements hpsumd, the order-invariant summation service:
 // a registry of named HP accumulators sharded across drain goroutines,
 // served over a stdlib-only HTTP wire surface with streaming binary ingest,
-// admission control, and checkpoint-based snapshot/restore.
+// admission control, and snapshot/restore through the audit record format.
 //
 // The service leans entirely on the paper's central property (eq. 2):
 // multi-limb two's-complement addition is exactly associative and

@@ -178,12 +178,87 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleAdd is the streaming ingest endpoint. The body is a sequence of
-// binary frames; each is verified (length bound, CRC, finiteness /
-// parameter checks) and enqueued whole before the next is read. A read
-// deadline is re-armed before every frame so a stalled client cannot hold
-// the connection; the request body is additionally capped by
-// MaxRequestBytes and MaxRequestFrames.
+// ingestFrame is one decoded, validated frame of a request body; Type
+// says which of XS (FrameFloat64), HP (FrameHP, already in the target
+// format) or Ctx (FrameTrace) carries it.
+type ingestFrame struct {
+	Type byte
+	XS   []float64
+	HP   *core.HP
+	Ctx  trace.Context
+}
+
+// readFrames is the one frame-reading loop behind both ingest endpoints.
+// It re-arms the FrameReadTimeout read deadline before every frame, so a
+// client that stalls mid-body cannot hold the handler; caps the body at
+// MaxRequestBytes, each payload at MaxFramePayload and the data frames at
+// MaxRequestFrames; decodes each frame (a FrameHP must be in format p) and
+// hands it to sink, which owns each float frame's slice. It returns nil at
+// a clean end of stream, else the HTTP status and error that ended the
+// request: 408 for a stall, 413 for a cap, 400 for a bad frame, or
+// whatever sink returned.
+func (s *Server) readFrames(w http.ResponseWriter, r *http.Request, p core.Params,
+	sink func(ingestFrame) (int, error)) (int, error) {
+	rc := http.NewResponseController(w)
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
+	dec := wire.NewDecoder(bufio.NewReader(body), &IngestFrames, s.cfg.MaxFramePayload)
+	frames := 0
+	for {
+		// ErrNotSupported (e.g. an httptest.ResponseRecorder) just means no
+		// deadline enforcement, which is fine for in-process use.
+		if err := rc.SetReadDeadline(time.Now().Add(s.cfg.FrameReadTimeout)); err != nil &&
+			!errors.Is(err, http.ErrNotSupported) {
+			return http.StatusInternalServerError, fmt.Errorf("arming read deadline: %w", err)
+		}
+		f, err := dec.Next()
+		if isEOF(err) {
+			return 0, nil
+		}
+		if err != nil {
+			mBadFrames.Inc()
+			switch {
+			case isMaxBytes(err):
+				return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxRequestBytes)
+			case isTimeout(err):
+				return http.StatusRequestTimeout, fmt.Errorf("frame read stalled past %s", s.cfg.FrameReadTimeout)
+			case errors.Is(err, ErrFrameTooLarge):
+				return http.StatusRequestEntityTooLarge, err
+			default:
+				return http.StatusBadRequest, err
+			}
+		}
+		if f.Type != FrameTrace {
+			if frames >= s.cfg.MaxRequestFrames {
+				return http.StatusRequestEntityTooLarge,
+					fmt.Errorf("more than %d frames in one request", s.cfg.MaxRequestFrames)
+			}
+			frames++
+		}
+		fr := ingestFrame{Type: f.Type}
+		switch f.Type {
+		case FrameTrace:
+			fr.Ctx, err = frameTrace(f.Payload)
+		case FrameHP:
+			fr.HP, err = frameHP(f.Payload)
+			if err == nil && fr.HP.Params() != p {
+				err = fmt.Errorf("HP frame is (N=%d,k=%d), want (N=%d,k=%d)",
+					fr.HP.Params().N, fr.HP.Params().K, p.N, p.K)
+			}
+		default:
+			fr.XS, err = frameFloats(nil, f.Payload)
+		}
+		if err != nil {
+			mBadFrames.Inc()
+			return http.StatusBadRequest, err
+		}
+		if status, err := sink(fr); err != nil {
+			return status, err
+		}
+	}
+}
+
+// handleAdd is the streaming ingest endpoint: readFrames decodes the body
+// and every data frame is enqueued whole before the next is read.
 //
 // Idempotent resume: a request may carry an Ingest-Id header naming its
 // frame stream. The server remembers, per accumulator, how many data frames
@@ -202,9 +277,6 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	}
 	ingestID := r.Header.Get("Ingest-Id")
 	skip := a.resumeCount(ingestID)
-	rc := http.NewResponseController(w)
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	dec := wire.NewDecoder(bufio.NewReader(body), &IngestFrames, s.cfg.MaxFramePayload)
 
 	// Ingest span, started lazily at the first frame so a leading
 	// FrameTrace can parent it under the client's send span. One span per
@@ -229,130 +301,63 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		span.End()
 	}()
 
-	fail := func(status int, format string, args ...any) {
-		res.Error = fmt.Sprintf(format, args...)
-		noteServerError(status, res.Error)
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After",
-				strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-		}
-		writeJSON(w, status, res)
-	}
-	for {
-		// Slow-client guard: each frame must arrive within FrameReadTimeout.
-		// ErrNotSupported (e.g. an httptest.ResponseRecorder) just means no
-		// deadline enforcement, which is fine for in-process use.
-		if err := rc.SetReadDeadline(time.Now().Add(s.cfg.FrameReadTimeout)); err != nil &&
-			!errors.Is(err, http.ErrNotSupported) {
-			fail(http.StatusInternalServerError, "arming read deadline: %v", err)
-			return
-		}
-		f, err := dec.Next()
-		if err != nil {
-			switch {
-			case isEOF(err):
-				writeJSON(w, http.StatusOK, res)
-				return
-			case isMaxBytes(err):
-				mBadFrames.Inc()
-				fail(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", s.cfg.MaxRequestBytes)
-				return
-			case isTimeout(err):
-				mBadFrames.Inc()
-				fail(http.StatusRequestTimeout, "frame read stalled past %s", s.cfg.FrameReadTimeout)
-				return
-			case errors.Is(err, ErrFrameTooLarge):
-				mBadFrames.Inc()
-				fail(http.StatusRequestEntityTooLarge, "%v", err)
-				return
-			default:
-				mBadFrames.Inc()
-				fail(http.StatusBadRequest, "%v", err)
-				return
-			}
-		}
-		if res.FramesAccepted >= s.cfg.MaxRequestFrames {
-			fail(http.StatusRequestEntityTooLarge,
-				"more than %d frames in one request", s.cfg.MaxRequestFrames)
-			return
-		}
-		var enqErr error
-		var values int
-		skipFrame := res.FramesAccepted < skip
-		switch f.Type {
-		case FrameTrace:
+	status, err := s.readFrames(w, r, a.params, func(f ingestFrame) (int, error) {
+		if f.Type == FrameTrace {
 			// Metadata, not data: adopt the client's context for this
 			// request's ingest span, count nothing, touch no state. The
 			// resume protocol is untouched because frames_accepted only
 			// ever counts data frames.
-			wctx, err := frameTrace(f.Payload)
-			if err != nil {
-				mBadFrames.Inc()
-				fail(http.StatusBadRequest, "%v", err)
-				return
-			}
-			ensureSpan(wctx)
-			continue
-		case FrameHP:
-			h, err := frameHP(f.Payload)
-			if err != nil {
-				mBadFrames.Inc()
-				fail(http.StatusBadRequest, "%v", err)
-				return
-			}
-			if h.Params() != a.params {
-				mBadFrames.Inc()
-				fail(http.StatusBadRequest, "HP frame is (N=%d,k=%d), accumulator is (N=%d,k=%d)",
-					h.Params().N, h.Params().K, a.params.N, a.params.K)
-				return
-			}
-			ensureSpan(trace.Context{})
-			if !skipFrame {
-				enqErr = a.AddHPTraced(h, span.Context())
-			}
-		default:
-			xs, err := frameFloats(nil, f.Payload)
-			if err != nil {
-				mBadFrames.Inc()
-				fail(http.StatusBadRequest, "%v", err)
-				return
-			}
-			values = len(xs)
-			ensureSpan(trace.Context{})
-			if !skipFrame {
-				enqErr = a.AddFloatsTraced(xs, span.Context())
-			}
+			ensureSpan(f.Ctx)
+			return 0, nil
 		}
-		switch {
-		case skipFrame && enqErr == nil:
+		ensureSpan(trace.Context{})
+		if res.FramesAccepted < skip {
 			// Already accepted under this Ingest-Id on a previous attempt:
 			// decoded (so the stream position advances) but not re-counted
 			// into the sum. It still counts toward frames_accepted — that
 			// number reports the id's owned prefix.
 			res.FramesAccepted++
-			res.ValuesAccepted += values
-		case enqErr == nil:
-			res.FramesAccepted++
-			res.ValuesAccepted += values
-			mFrames.Inc()
-			mValues.Add(uint64(values))
-			a.noteAccepted(ingestID, res.FramesAccepted)
-		case errors.Is(enqErr, ErrBusy):
-			fail(http.StatusTooManyRequests, "shard queue full; retry unaccepted frames")
-			return
-		case errors.Is(enqErr, ErrGone):
-			fail(http.StatusGone, "accumulator deleted mid-stream")
-			return
-		default:
-			fail(http.StatusInternalServerError, "%v", enqErr)
-			return
+			res.ValuesAccepted += len(f.XS)
+			return 0, nil
 		}
+		var err error
+		if f.Type == FrameHP {
+			err = a.AddHPTraced(f.HP, span.Context())
+		} else {
+			err = a.AddFloatsTraced(f.XS, span.Context())
+		}
+		switch {
+		case err == nil:
+			res.FramesAccepted++
+			res.ValuesAccepted += len(f.XS)
+			mFrames.Inc()
+			mValues.Add(uint64(len(f.XS)))
+			a.noteAccepted(ingestID, res.FramesAccepted)
+			return 0, nil
+		case errors.Is(err, ErrBusy):
+			return http.StatusTooManyRequests, errors.New("shard queue full; retry unaccepted frames")
+		case errors.Is(err, ErrGone):
+			return http.StatusGone, errors.New("accumulator deleted mid-stream")
+		default:
+			return http.StatusInternalServerError, err
+		}
+	})
+	if err == nil {
+		writeJSON(w, http.StatusOK, res)
+		return
 	}
+	res.Error = err.Error()
+	noteServerError(status, res.Error)
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After",
+			strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+	}
+	writeJSON(w, status, res)
 }
 
-// handleSum is the one-shot endpoint: decode every frame in the body into
-// a request-local serial accumulator and return its Info. ?n=&k= select the
-// format (default: the server's).
+// handleSum is the one-shot endpoint: readFrames decodes the body into a
+// request-local serial accumulator and the response is its Info. ?n=&k=
+// select the format (default: the server's).
 func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
 	mRequests.Inc()
 	p := s.cfg.Params
@@ -365,54 +370,31 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		p = core.Params{N: n, K: k}
-		if err := p.Validate(); err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	dec := wire.NewDecoder(bufio.NewReader(body), &IngestFrames, s.cfg.MaxFramePayload)
+	if err := validFormat(p); err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	b := core.NewSuper(p)
 	var adds, frames uint64
-	var xs []float64
-	for {
-		f, err := dec.Next()
-		if isEOF(err) {
-			break
-		}
-		if err != nil {
-			mBadFrames.Inc()
-			status := http.StatusBadRequest
-			if isMaxBytes(err) || errors.Is(err, ErrFrameTooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeErr(w, status, "%v", err)
-			return
-		}
+	status, err := s.readFrames(w, r, p, func(f ingestFrame) (int, error) {
 		switch f.Type {
 		case FrameTrace:
-			continue // metadata: never counted, never summed
+			return 0, nil // metadata: never counted, never summed
 		case FrameHP:
-			h, err := frameHP(f.Payload)
-			if err != nil || h.Params() != p {
-				mBadFrames.Inc()
-				writeErr(w, http.StatusBadRequest, "bad HP frame (err=%v)", err)
-				return
-			}
-			b.AddHP(h)
+			b.AddHP(f.HP)
 		default:
-			xs, err = frameFloats(xs, f.Payload)
-			if err != nil {
-				mBadFrames.Inc()
-				writeErr(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			b.AddSlice(xs)
-			adds += uint64(len(xs))
-			mValues.Add(uint64(len(xs)))
+			b.AddSlice(f.XS)
+			adds += uint64(len(f.XS))
+			mValues.Add(uint64(len(f.XS)))
 		}
 		frames++
 		mFrames.Inc()
+		return 0, nil
+	})
+	if err != nil {
+		writeErr(w, status, "%v", err)
+		return
 	}
 	sum := b.Sum()
 	txt, err := sum.MarshalText()

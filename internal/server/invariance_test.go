@@ -182,17 +182,33 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every damaged image must be rejected before anything is created, so
+	// one server sees every attempt.
+	s2 := New(Config{Shards: 1})
+	defer s2.Close()
+	bad := filepath.Join(dir, "bad.bin")
+	restore := func(img []byte) error {
+		t.Helper()
+		if err := os.WriteFile(bad, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := s2.Restore(bad)
+		return err
+	}
 	for pos := 0; pos < len(data); pos++ {
 		mauled := append([]byte(nil), data...)
 		mauled[pos] ^= 0x20
-		if _, err := parseSnapshot(mauled); err == nil {
+		if err := restore(mauled); err == nil {
 			t.Fatalf("bit flip at byte %d accepted", pos)
 		}
 	}
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := parseSnapshot(data[:cut]); err == nil {
+		if err := restore(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+	if n := len(s2.Names()); n != 0 {
+		t.Fatalf("rejected images created %d accumulators", n)
 	}
 }
 

@@ -98,19 +98,23 @@ type report struct {
 	digest [audit.HashLen]byte
 }
 
-// agree is the certification core. Caller holds a.mu exclusively, which
-// quiesces ingest: every accepted frame has landed on every active replica,
+// agree is the certification core and the one cut of an accumulator's
+// agreed state: State, Certified, Envelope, audit records and snapshots all
+// read through it. It takes a.mu exclusively, which quiesces ingest: every
+// accepted frame has landed on every active replica (and been journaled),
 // so honest replicas answer identically.
 //
 // It flushes each active replica, groups the reports by envelope digest,
 // and picks the largest group as the quorum candidate. With a quorum:
 // minority replicas are quarantined and reseeded (or struck out), and agree
 // returns the agreed state — decoded from the agreed envelope, so the
-// served value is the certified bytes by construction — plus the
-// certificate and the minority ids. Without a quorum nothing is
+// served value is the certified bytes by construction, and caller-owned —
+// plus the certificate and the minority ids. Without a quorum nothing is
 // quarantined (there is no majority to trust) and the error wraps
 // ErrDiverged.
 func (a *Accumulator) agree() (engineState, *Certificate, []int, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	mergeSpan := trace.StartRoot("server.merge")
 	mergeSpan.Attr(trace.Str("acc", a.name))
 	mergeSpan.Attr(trace.Int("shards", int64(len(a.replicas[0].eng.shards))))
@@ -226,13 +230,8 @@ func (a *Accumulator) punish(rep report, agreed engineState, winner [audit.HashL
 		mQuarantines.Inc()
 		return
 	}
-	errText := ""
-	if agreed.err != nil {
-		errText = agreed.err.Error()
-	}
 	fresh := newEngine(a.name, a.params, a.cfg)
-	ck := &core.SumCheckpoint{Step: agreed.adds, Sum: agreed.sum.Clone()}
-	if err := fresh.seed(ck, agreed.frames, errText); err != nil {
+	if err := fresh.seed(agreed); err != nil {
 		// Seeding a fresh, empty engine cannot fail structurally; if it
 		// somehow does, strike the replica out rather than serve from it.
 		fresh.stop()

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/trace"
 )
@@ -156,10 +157,28 @@ func validName(name string) bool {
 	return true
 }
 
+// maxLimbs is the widest format (N) whose canonical HP envelope fits one
+// audit record entry (audit.MaxEnvLen). Every accumulator's state must be
+// persistable as a snapshot and an audit record, and the bound also caps
+// the limb vectors a request can make the server allocate per shard and
+// replica.
+var maxLimbs = (audit.MaxEnvLen - core.MarshaledSize(core.Params{})) / 8
+
+// validFormat checks p and that its state fits the record bound.
+func validFormat(p core.Params) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if p.N > maxLimbs {
+		return fmt.Errorf("server: N=%d exceeds %d, the widest format whose state fits one audit record", p.N, maxLimbs)
+	}
+	return nil
+}
+
 // Create registers an accumulator under name with format p (zero Params
 // selects the server default). It returns the accumulator and whether it
 // was newly created; asking for an existing name with a different format is
-// ErrExists.
+// ErrExists. A format wider than maxLimbs is rejected.
 func (s *Server) Create(name string, p core.Params) (*Accumulator, bool, error) {
 	if !validName(name) {
 		return nil, false, fmt.Errorf("%w: %q", ErrBadName, name)
@@ -167,7 +186,7 @@ func (s *Server) Create(name string, p core.Params) (*Accumulator, bool, error) 
 	if p == (core.Params{}) {
 		p = s.cfg.Params
 	}
-	if err := p.Validate(); err != nil {
+	if err := validFormat(p); err != nil {
 		return nil, false, err
 	}
 	s.mu.Lock()
@@ -402,16 +421,14 @@ func (a *Accumulator) AddHPTraced(h *core.HP, tctx trace.Context) error {
 	return a.ingest(op{hp: h, tctx: tctx})
 }
 
-// State flushes the replica set at a quiescent point and returns the
-// majority-agreed Info. Divergent minority replicas are quarantined and
+// State is the divergence-tolerant read: the agreed state of one agree()
+// cut, rendered as Info. Divergent minority replicas are quarantined and
 // reseeded as a side effect, but the read itself tolerates divergence as
-// long as a quorum agrees — this is the snapshot/checkpoint path, which
-// must never persist a lying replica's value but also must not wedge a
-// graceful shutdown over one bad replica. Reads served to clients go
-// through Certified, which fails closed instead.
+// long as a quorum agrees — the same cut snapshots, audit records and
+// gossip take, which must never persist a lying replica's value but also
+// must not wedge a graceful shutdown over one bad replica. Reads served to
+// clients go through Certified, which fails closed instead.
 func (a *Accumulator) State() (Info, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	st, cert, _, err := a.agree()
 	if err != nil {
 		return Info{}, err
@@ -419,14 +436,12 @@ func (a *Accumulator) State() (Info, error) {
 	return a.infoFrom(st, cert), nil
 }
 
-// Certified is the client read path: it flushes the replica set at a
-// quiescent point and serves the value only under a full agreement
-// certificate. Any divergence — even with a healthy quorum — fails the
-// read closed with ErrDiverged (HTTP 503) while the quarantine-and-reseed
-// pass repairs the minority, so a retry is expected to succeed.
+// Certified is the client read path: one agree() cut, served only under a
+// full agreement certificate. Any divergence — even with a healthy quorum —
+// fails the read closed with ErrDiverged (HTTP 503) while the
+// quarantine-and-reseed pass repairs the minority, so a retry is expected
+// to succeed.
 func (a *Accumulator) Certified() (Info, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	mCertReads.Inc()
 	st, cert, divergent, err := a.agree()
 	if err != nil {
@@ -439,7 +454,7 @@ func (a *Accumulator) Certified() (Info, error) {
 	return a.infoFrom(st, cert), nil
 }
 
-// infoFrom renders an agreed state as the wire Info. Caller holds mu.
+// infoFrom renders an agreed state as the wire Info.
 func (a *Accumulator) infoFrom(st engineState, cert *Certificate) Info {
 	txt, err := st.sum.MarshalText()
 	if err != nil {
@@ -451,7 +466,7 @@ func (a *Accumulator) infoFrom(st engineState, cert *Certificate) Info {
 		Name:   a.name,
 		N:      a.params.N,
 		K:      a.params.K,
-		Shards: len(a.replicas[0].eng.shards),
+		Shards: a.cfg.Shards,
 		Adds:   st.adds,
 		Frames: st.frames,
 		Sum:    st.sum.Float64(),
@@ -464,50 +479,32 @@ func (a *Accumulator) infoFrom(st engineState, cert *Certificate) Info {
 	return info
 }
 
-// checkpoint returns the accumulator's state as a core.SumCheckpoint (Step
-// = values applied, Sum = merged canonical HP) plus its frame count and
-// sticky error, for the snapshot writer. Divergence-tolerant: the snapshot
-// must record the majority value even while a minority replica is lying.
-func (a *Accumulator) checkpoint() (*core.SumCheckpoint, uint64, string, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st, _, _, err := a.agree()
-	if err != nil {
-		return nil, 0, "", err
-	}
-	errText := ""
-	if st.err != nil {
-		errText = st.err.Error()
-	}
-	return &core.SumCheckpoint{Step: st.adds, Sum: st.sum}, st.frames, errText, nil
-}
-
 // Envelope returns the accumulator's current canonical HP partial together
 // with its adds and frames counters — the contribution the gossip layer
-// replicates across the cluster. Like checkpoint it reads the agreed
-// (majority) state, so a gossiped partial always matches what snapshots and
-// certified reads see. The returned HP is a copy the caller owns.
+// replicates across the cluster. It is the agreed state of one agree()
+// cut, so a gossiped partial always matches what snapshots and certified
+// reads see. The returned HP is a copy the caller owns.
 func (a *Accumulator) Envelope() (*core.HP, uint64, uint64, error) {
-	ck, frames, _, err := a.checkpoint()
+	st, _, _, err := a.agree()
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return ck.Sum.Clone(), ck.Step, frames, nil
+	return st.sum, st.adds, st.frames, nil
 }
 
-// seedRestore installs a restored checkpoint into every replica and, when
+// seedRestore installs a restored state into every replica and, when
 // auditing is on, journals the hand-off so replay can verify the restored
 // state extends the journaled trajectory exactly.
-func (a *Accumulator) seedRestore(ck *core.SumCheckpoint, frames uint64, errText string) error {
+func (a *Accumulator) seedRestore(st engineState) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, r := range a.replicas {
-		if err := r.eng.seed(ck, frames, errText); err != nil {
+		if err := r.eng.seed(st); err != nil {
 			return err
 		}
 	}
 	if a.aud != nil {
-		if err := a.aud.journalSeed(a.name, ck, frames); err != nil {
+		if err := a.aud.journalSeed(a.name, st); err != nil {
 			return fmt.Errorf("server: journal: %w", err)
 		}
 	}

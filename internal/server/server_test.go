@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -379,5 +381,87 @@ func TestListJSONShape(t *testing.T) {
 	}
 	if _, ok := out["accumulators"]; !ok {
 		t.Fatalf("list body %v", out)
+	}
+}
+
+// TestFormatBoundedByRecord: every accepted format's state must fit one
+// audit record entry, so an accumulator can always be snapshotted and
+// attested. N=8191 is the widest (5+8·8191 envelope bytes ≤ 65536); N=8192
+// is refused by Create, PUT and the one-shot sum alike.
+func TestFormatBoundedByRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, c := newTestServer(t, Config{Shards: 1})
+	if err := s.EnableAudit(filepath.Join(dir, "f.hpfj"), filepath.Join(dir, "a.hpal")); err != nil {
+		t.Fatal(err)
+	}
+	defer s.CloseAudit()
+	if _, _, err := s.Create("over", core.Params{N: 8192, K: 0}); err == nil {
+		t.Fatal("N=8192 created")
+	}
+	if _, err := c.Create("wide", core.Params{N: 8191, K: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AuditRecord("periodic"); err != nil {
+		t.Fatalf("widest format not attestable: %v", err)
+	}
+	if err := s.Snapshot(filepath.Join(dir, "state")); err != nil {
+		t.Fatalf("widest format not snapshottable: %v", err)
+	}
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodPut, "/v1/acc/big", `{"n":8192,"k":0}`},
+		{http.MethodPost, "/v1/sum?n=8192&k=0", ""},
+		{http.MethodPost, "/v1/sum?n=2305843009213693952&k=0", ""},
+	} {
+		req, err := http.NewRequest(tc.method, c.url(tc.path), strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.http().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s %s: status %d, want 400", tc.method, tc.path, resp.StatusCode)
+		}
+	}
+}
+
+// TestStalledBodyTimesOut: both ingest endpoints arm the per-frame read
+// deadline, so a client that stalls mid-frame gets 408 instead of holding
+// the handler forever.
+func TestStalledBodyTimesOut(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	_, c := newTestServer(t, Config{FrameReadTimeout: timeout})
+	if _, err := c.Create("x", core.Params{}); err != nil {
+		t.Fatal(err)
+	}
+	frame := AppendFloatFrame(nil, []float64{1, 2, 3})
+	for _, path := range []string{"/v1/acc/x/add", "/v1/sum"} {
+		pr, pw := io.Pipe()
+		t.Cleanup(func() { pw.Close() }) // runs before the server's cleanup
+		go pw.Write(frame[:7])           // a header and part of the payload, then silence
+		start := time.Now()
+		got := make(chan int, 1)
+		go func() {
+			resp, err := c.http().Post(c.url(path), "application/octet-stream", pr)
+			if err != nil {
+				got <- 0
+				return
+			}
+			resp.Body.Close()
+			got <- resp.StatusCode
+		}()
+		select {
+		case code := <-got:
+			if code != http.StatusRequestTimeout {
+				t.Fatalf("%s: status %d, want 408", path, code)
+			}
+			if el := time.Since(start); el > timeout+2*time.Second {
+				t.Fatalf("%s: 408 after %s, deadline is %s", path, el, timeout)
+			}
+		case <-time.After(timeout + 5*time.Second):
+			t.Fatalf("%s: stalled body still held the handler after %s", path, timeout+5*time.Second)
+		}
 	}
 }

@@ -105,21 +105,27 @@ func TestGoldenIngestFrames(t *testing.T) {
 	}
 }
 
-const goldenSnapshot = "48505353" + "01" + "00000002" +
-	// "keep": name, frames 2, no error text, an HPCK checkpoint of 0.5 after 3 adds.
-	"0004" + "6b656570" + "0000000000000002" + "0000" + "00000026" +
-	"4850434b" + "01" + "0000000000000003" +
-	"0100020001" + "0000000000000000" + "8000000000000000" + "cd51f533" +
-	// "small": frames 1, error text "core: HP underflow", an HPCK checkpoint of 0.
-	"0005" + "736d616c6c" + "0000000000000001" +
-	"0012" + "636f72653a20485020756e646572666c6f77" + "00000026" +
-	"4850434b" + "01" + "0000000000000001" +
-	"0100020001" + "0000000000000000" + "0000000000000000" + "b03ab969" +
-	"d97dc32e"
+// goldenSnapshot is a one-record audit chain: the genesis HPAR record
+// (seq 0, zero prev_hash, reason "snapshot") holding two entries.
+const goldenSnapshot = "48504152" + "01" +
+	// prev_hash (zero), seq 0, reason "snapshot", two entries.
+	"0000000000000000000000000000000000000000000000000000000000000000" + "0000000000000000" +
+	"08" + "736e617073686f74" + "00000002" +
+	// "keep": frames 2, adds 3, no error text, the digest and envelope of 0.5.
+	"0004" + "6b656570" + "0000000000000002" + "0000000000000003" + "0000" +
+	"3bd25a8ef440b1569db48ce29e002f74ff6d7866c510f9d3a27de20d03e180c0" +
+	"00000015" + "0100020001" + "0000000000000000" + "8000000000000000" +
+	// "small": frames 1, adds 1, error text "core: HP underflow", the
+	// digest and envelope of 0.
+	"0005" + "736d616c6c" + "0000000000000001" + "0000000000000001" +
+	"0012" + "636f72653a20485020756e646572666c6f77" +
+	"1c21e08ae62358813c6831a733840f8d8ba7c9e540a8825da7a482657ef42136" +
+	"00000015" + "0100020001" + "0000000000000000" + "0000000000000000" +
+	"b544899c"
 
 func TestGoldenSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "golden.hpss")
+	path := filepath.Join(dir, "golden.state")
 	if err := os.WriteFile(path, mustHex(t, goldenSnapshot), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +154,7 @@ func TestGoldenSnapshot(t *testing.T) {
 		t.Fatalf("small restored as %+v", small)
 	}
 
-	out := filepath.Join(dir, "again.hpss")
+	out := filepath.Join(dir, "again.state")
 	if err := s.Snapshot(out); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +186,7 @@ func TestGoldenJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := []float64{1.5, -2.25}
-	if err := aud.journalSeed("acc", &core.SumCheckpoint{Step: 21, Sum: h}, 7); err != nil {
+	if err := aud.journalSeed("acc", engineState{sum: h, adds: 21, frames: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if err := aud.journalOp("acc", op{xs: xs}); err != nil {
