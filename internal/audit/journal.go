@@ -81,18 +81,29 @@ func (e *JournalEntry) Floats() ([]float64, error) {
 // AppendJournalEntry appends e's wire image to buf and returns the extended
 // slice.
 func AppendJournalEntry(buf []byte, e *JournalEntry) ([]byte, error) {
+	start := len(buf)
+	buf, err := appendJournalHead(buf, e, len(e.Payload))
+	if err != nil {
+		return buf, err
+	}
+	return wire.Seal(append(buf, e.Payload...), start), nil
+}
+
+// appendJournalHead appends e's wire image up to and including a payload
+// length of plen (e.Payload itself is not read); the caller appends the
+// plen payload bytes and seals the entry.
+func appendJournalHead(buf []byte, e *JournalEntry, plen int) ([]byte, error) {
 	if len(e.Name) == 0 || len(e.Name) > maxNameLen {
 		return buf, fmt.Errorf("audit: journal entry name of %d bytes", len(e.Name))
 	}
-	if len(e.Payload) > MaxJournalPayload {
-		return buf, fmt.Errorf("audit: journal payload of %d bytes exceeds %d", len(e.Payload), MaxJournalPayload)
+	if plen > MaxJournalPayload {
+		return buf, fmt.Errorf("audit: journal payload of %d bytes exceeds %d", plen, MaxJournalPayload)
 	}
 	switch e.Kind {
 	case JournalFloats, JournalHP, JournalSeed:
 	default:
 		return buf, fmt.Errorf("audit: unknown journal kind %q", e.Kind)
 	}
-	start := len(buf)
 	buf = append(buf, journalEntryMark, e.Kind)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.Name)))
 	buf = append(buf, e.Name...)
@@ -100,9 +111,7 @@ func AppendJournalEntry(buf []byte, e *JournalEntry) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint64(buf, e.Frames)
 		buf = binary.BigEndian.AppendUint64(buf, e.Adds)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Payload)))
-	buf = append(buf, e.Payload...)
-	return wire.Seal(buf, start), nil
+	return binary.BigEndian.AppendUint32(buf, uint32(plen)), nil
 }
 
 // JournalReader streams entries from a journal image.
@@ -226,8 +235,27 @@ func (j *Journal) Append(e *JournalEntry) error {
 	if err != nil {
 		return err
 	}
+	return j.write(buf)
+}
+
+// AppendFloats writes one JournalFloats entry for xs: the bytes Append
+// writes for a wire.AppendFloat64s payload, encoded straight into the
+// journal's buffer with no intermediate payload slice.
+func (j *Journal) AppendFloats(name string, xs []float64) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	buf, err := appendJournalHead(j.buf[:0], &JournalEntry{Kind: JournalFloats, Name: name}, 8*len(xs))
+	if err != nil {
+		return err
+	}
+	return j.write(wire.Seal(wire.AppendFloat64s(buf, xs), 0))
+}
+
+// write keeps buf's storage for the next entry and writes buf out. Caller
+// holds mu.
+func (j *Journal) write(buf []byte) error {
 	j.buf = buf[:0]
-	_, err = j.f.Write(buf)
+	_, err := j.f.Write(buf)
 	return err
 }
 

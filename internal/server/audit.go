@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/audit"
-	"repro/internal/wire"
 )
 
 // Audit wiring. With auditing enabled the server keeps two append-only
@@ -134,18 +133,18 @@ func (s *Server) entries() ([]audit.Entry, error) {
 // accumulator's shared lock, after the frame has landed on every active
 // replica.
 func (aud *auditState) journalOp(name string, o op) error {
-	e := &audit.JournalEntry{Name: name}
+	var err error
 	switch {
 	case o.hp != nil:
-		env, err := o.hp.MarshalBinary()
-		if err != nil {
+		var env []byte
+		if env, err = o.hp.MarshalBinary(); err != nil {
 			return err
 		}
-		e.Kind, e.Payload = audit.JournalHP, env
+		err = aud.journal.Append(&audit.JournalEntry{Kind: audit.JournalHP, Name: name, Payload: env})
 	default:
-		e.Kind, e.Payload = audit.JournalFloats, wire.AppendFloat64s(nil, o.xs)
+		err = aud.journal.AppendFloats(name, o.xs)
 	}
-	if err := aud.journal.Append(e); err != nil {
+	if err != nil {
 		return err
 	}
 	mJournalFrames.Inc()

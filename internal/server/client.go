@@ -11,11 +11,13 @@ import (
 	"net/http"
 	"net/http/httptrace"
 	"strconv"
+	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // Client is a minimal hpsumd client speaking the binary ingest protocol,
@@ -235,6 +237,11 @@ func (c *Client) Stream(name string, xs []float64) (StreamStats, error) {
 	span.Attr(trace.Str("acc", name))
 	span.Attr(trace.Int("values", int64(len(xs))))
 	defer span.End()
+	return c.streamFrames(name, c.partition(xs), span.Context())
+}
+
+// partition cuts xs into FrameLen-value frames that alias it.
+func (c *Client) partition(xs []float64) [][]float64 {
 	flen := c.frameLen()
 	frames := make([][]float64, 0, len(xs)/flen+1)
 	for len(xs) > 0 {
@@ -242,7 +249,7 @@ func (c *Client) Stream(name string, xs []float64) (StreamStats, error) {
 		frames = append(frames, xs[:n])
 		xs = xs[n:]
 	}
-	return c.streamFrames(name, frames, span.Context())
+	return frames
 }
 
 // streamFrames sends pre-partitioned frames.
@@ -275,8 +282,8 @@ func (c *Client) streamFrames(name string, frames [][]float64, parent trace.Cont
 // FrameTrace, so the server's ingest span (and the shard folds under it)
 // parent back to this exact attempt.
 func (c *Client) postFrames(name string, frames [][]float64, parent trace.Context) (acked, retries int, err error) {
-	var buf []byte
-	base := -1 // acked count the current body was built at; -1 forces a build
+	var scratch []byte // one frame's encode buffer, handed from body to body
+	base := -1         // acked count the current body was built at; -1 forces a new id
 	id := ""
 	transportTries := 0
 	for retry := 0; ; retry++ {
@@ -288,35 +295,26 @@ func (c *Client) postFrames(name string, frames [][]float64, parent trace.Contex
 		if acked != base {
 			// The suffix changed (429 partial accept, or first attempt):
 			// a new body needs a fresh idempotency key. An unchanged body
-			// (transport retry) keeps both body and id, byte for byte.
+			// (transport retry) keeps its id and re-encodes the same
+			// frames, byte for byte.
 			base = acked
 			id = newIngestID()
 			transportTries = 0
-			buf = buf[:0]
-			for _, f := range frames[acked:] {
-				buf = AppendFloatFrame(buf, f)
-			}
 		}
-		body := buf
-		if parent.Valid() {
-			// The trace frame carries this attempt's span, so it cannot be
-			// part of the retry-stable body; prepend per attempt. Trace
-			// frames are metadata and never counted by the server.
-			tf := AppendTraceFrame(nil, sendSpan.Context())
-			body = append(tf, buf...)
-		}
-		req, rerr := http.NewRequest(http.MethodPost, c.url("/v1/acc/%s/add", name),
-			bytes.NewReader(body))
+		// The trace frame carries this attempt's span, so it cannot be part
+		// of the retry-stable frames; it leads each attempt's body. Trace
+		// frames are metadata and never counted by the server.
+		req, body, rerr := newFramePost(c.url("/v1/acc/%s/add", name), scratch, sendSpan.Context(), frames[base:])
 		if rerr != nil {
 			sendSpan.End()
 			return acked, retries, rerr
 		}
-		req.Header.Set("Content-Type", "application/octet-stream")
 		if id != "" {
 			req.Header.Set("Ingest-Id", id)
 		}
 		resp, err := c.http().Do(withConnectTrace(req, parent))
 		if err != nil {
+			scratch = body.fence()
 			sendSpan.Attr(trace.Str("transport_error", err.Error()))
 			sendSpan.End()
 			if isTransientTransport(err) && transportTries < c.maxTransportRetries() {
@@ -337,6 +335,7 @@ func (c *Client) postFrames(name string, frames [][]float64, parent trace.Contex
 		status := resp.StatusCode
 		retryAfter := resp.Header.Get("Retry-After")
 		derr := decodeJSON(resp, &res)
+		scratch = body.fence()
 		sendSpan.Attr(trace.Int("status", int64(status)))
 		sendSpan.End()
 		if derr != nil && status == http.StatusOK {
@@ -413,16 +412,16 @@ func (c *Client) AddHP(name string, h *core.HP) error {
 
 // Sum drives the one-shot endpoint: frames in, Info out.
 func (c *Client) Sum(xs []float64, p core.Params) (Info, error) {
-	var buf []byte
-	flen := c.frameLen()
-	for off := 0; off < len(xs); off += flen {
-		buf = AppendFloatFrame(buf, xs[off:min(off+flen, len(xs))])
-	}
 	u := c.url("/v1/sum")
 	if p != (core.Params{}) {
 		u += fmt.Sprintf("?n=%d&k=%d", p.N, p.K)
 	}
-	resp, err := c.http().Post(u, "application/octet-stream", bytes.NewReader(buf))
+	req, body, err := newFramePost(u, nil, trace.Context{}, c.partition(xs))
+	if err != nil {
+		return Info{}, err
+	}
+	defer body.fence()
+	resp, err := c.http().Do(req)
 	if err != nil {
 		return Info{}, err
 	}
@@ -434,6 +433,82 @@ func (c *Client) Sum(xs []float64, p core.Params) (Info, error) {
 		return Info{}, err
 	}
 	return info, nil
+}
+
+// frameBody is a POST body of float frames, led by an optional trace frame,
+// that is encoded one frame at a time into a one-frame scratch buffer as
+// the transport reads it, so no request ever materializes its whole body.
+// It reads the caller's float slices directly, so the caller must fence it
+// before it returns: the transport closes the body on every path, but an
+// early 429 or 413 can arrive while the transport is still reading it.
+type frameBody struct {
+	mu     sync.Mutex
+	frames [][]float64 // not yet encoded
+	buf    []byte      // the frame being read; buf[off:] is unread
+	off    int
+	done   bool // closed or fenced: Read touches nothing
+}
+
+// newFramePost builds a POST to u whose body is tctx's trace frame (none
+// when tctx is invalid) followed by frames, encoded in scratch's storage.
+// ContentLength is exact, so the transport streams the body unchunked, and
+// every body built over the same frames yields the same bytes.
+func newFramePost(u string, scratch []byte, tctx trace.Context, frames [][]float64) (*http.Request, *frameBody, error) {
+	body := &frameBody{frames: frames, buf: AppendTraceFrame(scratch[:0], tctx)}
+	size := int64(len(body.buf))
+	for _, f := range frames {
+		size += wire.Overhead + 8*int64(len(f))
+	}
+	req, err := http.NewRequest(http.MethodPost, u, body)
+	if err != nil {
+		return nil, nil, err
+	}
+	req.ContentLength = size
+	if size == 0 {
+		req.Body = http.NoBody
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	return req, body, nil
+}
+
+func (b *frameBody) Read(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for n < len(p) && !b.done {
+		if b.off == len(b.buf) {
+			if len(b.frames) == 0 {
+				break
+			}
+			b.buf, b.off = AppendFloatFrame(b.buf[:0], b.frames[0]), 0
+			b.frames = b.frames[1:]
+		}
+		c := copy(p[n:], b.buf[b.off:])
+		b.off += c
+		n += c
+	}
+	if n == 0 && len(p) > 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+// Close is the transport's close; it fences the body like fence.
+func (b *frameBody) Close() error {
+	b.fence()
+	return nil
+}
+
+// fence waits out a Read in progress and makes every later Read return
+// io.EOF without touching the frames, so once it returns the caller's
+// slices are the caller's again. It returns the scratch buffer for reuse.
+// A transport still writing the body sees it end short and drops the
+// connection; that only happens once the server has already answered.
+func (b *frameBody) fence() []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.done, b.frames = true, nil
+	return b.buf[:0]
 }
 
 // respError drains an error response into a readable error.

@@ -38,12 +38,18 @@ type engine struct {
 // HP partial), or snap (a flush-and-report request) is set.
 type op struct {
 	xs   []float64
+	buf  *frameBuf // pooled storage behind xs, one reference held; nil: none
 	hp   *core.HP
 	snap chan shardState
 	seed bool          // restore seed: fold the value in without counting a frame
-	enq  time.Time     // set when telemetry is recording; zero otherwise
+	enq  time.Duration // since enqEpoch, set when telemetry is recording; zero otherwise
 	tctx trace.Context // ingest span context; folds become its children
 }
+
+// enqEpoch anchors op enqueue stamps. Every shard queue slot holds an op,
+// so its size is resident memory times QueueDepth, shards, replicas and
+// accumulators; a monotonic offset takes 8 bytes where a time.Time takes 24.
+var enqEpoch = time.Now()
 
 // shardState is a shard's reply to a snap op: the canonical partial sum
 // (cloned, caller-owned) plus its counters and sticky error.
@@ -52,6 +58,46 @@ type shardState struct {
 	err    error
 	adds   uint64
 	frames uint64
+}
+
+// frameBuf is the pooled, reference-counted storage of one decoded float
+// frame. The decoder takes it from framePool holding one reference for the
+// request handler; ingest adds one per replica op it enqueues, each shard
+// drain drops its own after the fold, and the last release returns the
+// buffer to the pool. sync.Pool empties on GC, so idle buffers never pin
+// memory. A nil *frameBuf (a slice handed in through AddFloats, which the
+// accumulator then owns) makes retain and release no-ops.
+type frameBuf struct {
+	xs   []float64
+	refs atomic.Int32
+}
+
+var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+
+// decodeFloatFrame decodes a FrameFloat64 payload into a pooled buffer
+// whose one reference the caller owns.
+func decodeFloatFrame(payload []byte) (*frameBuf, error) {
+	fb := framePool.Get().(*frameBuf)
+	fb.refs.Store(1)
+	xs, err := frameFloats(fb.xs, payload)
+	if err != nil {
+		fb.release()
+		return nil, err
+	}
+	fb.xs = xs
+	return fb, nil
+}
+
+func (fb *frameBuf) retain() {
+	if fb != nil {
+		fb.refs.Add(1)
+	}
+}
+
+func (fb *frameBuf) release() {
+	if fb != nil && fb.refs.Add(-1) == 0 {
+		framePool.Put(fb)
+	}
 }
 
 type shard struct {
@@ -110,13 +156,14 @@ func (e *engine) drain(sh *shard) {
 			sp := trace.Start(o.tctx, "server.fold")
 			sp.Attr(trace.Int("values", int64(len(o.xs))))
 			b.AddSlice(o.xs)
+			o.buf.release()
 			adds += uint64(len(o.xs))
 			frames++
 			sp.End()
 		}
 		mQueueDepth.Dec()
-		if !o.enq.IsZero() {
-			mDrainLatency.Observe(time.Since(o.enq).Seconds())
+		if o.enq != 0 {
+			mDrainLatency.Observe((time.Since(enqEpoch) - o.enq).Seconds())
 		}
 	}
 	for {
@@ -129,6 +176,7 @@ func (e *engine) drain(sh *shard) {
 					if o.snap != nil {
 						o.snap <- shardState{err: ErrGone, sum: core.New(e.params)}
 					}
+					o.buf.release()
 					mQueueDepth.Dec()
 				default:
 					return
@@ -175,7 +223,7 @@ func (e *engine) closeDrain() {
 // deleted engine is ErrGone either way.
 func (e *engine) enqueue(o op, wait bool) error {
 	if telemetry.Enabled() {
-		o.enq = time.Now()
+		o.enq = time.Since(enqEpoch)
 	}
 	sh := e.shards[e.next.Add(1)%uint64(len(e.shards))]
 	select {

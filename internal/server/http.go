@@ -180,22 +180,25 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 // ingestFrame is one decoded, validated frame of a request body; Type
 // says which of XS (FrameFloat64), HP (FrameHP, already in the target
-// format) or Ctx (FrameTrace) carries it.
+// format) or Ctx (FrameTrace) carries it. XS lives in the pooled buf, which
+// readFrames releases once sink returns; a sink that keeps XS past that
+// retains buf (Accumulator.ingest does, per replica op).
 type ingestFrame struct {
 	Type byte
 	XS   []float64
 	HP   *core.HP
 	Ctx  trace.Context
+	buf  *frameBuf
 }
 
 // readFrames is the one frame-reading loop behind both ingest endpoints.
 // It re-arms the FrameReadTimeout read deadline before every frame, so a
 // client that stalls mid-body cannot hold the handler; caps the body at
 // MaxRequestBytes, each payload at MaxFramePayload and the data frames at
-// MaxRequestFrames; decodes each frame (a FrameHP must be in format p) and
-// hands it to sink, which owns each float frame's slice. It returns nil at
-// a clean end of stream, else the HTTP status and error that ended the
-// request: 408 for a stall, 413 for a cap, 400 for a bad frame, or
+// MaxRequestFrames; decodes each frame (a FrameHP must be in format p, a
+// float frame lands in a pooled buffer) and hands it to sink. It returns
+// nil at a clean end of stream, else the HTTP status and error that ended
+// the request: 408 for a stall, 413 for a cap, 400 for a bad frame, or
 // whatever sink returned.
 func (s *Server) readFrames(w http.ResponseWriter, r *http.Request, p core.Params,
 	sink func(ingestFrame) (int, error)) (int, error) {
@@ -245,13 +248,17 @@ func (s *Server) readFrames(w http.ResponseWriter, r *http.Request, p core.Param
 					fr.HP.Params().N, fr.HP.Params().K, p.N, p.K)
 			}
 		default:
-			fr.XS, err = frameFloats(nil, f.Payload)
+			if fr.buf, err = decodeFloatFrame(f.Payload); err == nil {
+				fr.XS = fr.buf.xs
+			}
 		}
 		if err != nil {
 			mBadFrames.Inc()
 			return http.StatusBadRequest, err
 		}
-		if status, err := sink(fr); err != nil {
+		status, err := sink(fr)
+		fr.buf.release()
+		if err != nil {
 			return status, err
 		}
 	}
@@ -324,7 +331,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		if f.Type == FrameHP {
 			err = a.AddHPTraced(f.HP, span.Context())
 		} else {
-			err = a.AddFloatsTraced(f.XS, span.Context())
+			err = a.ingest(op{xs: f.XS, buf: f.buf, tctx: span.Context()})
 		}
 		switch {
 		case err == nil:

@@ -358,7 +358,8 @@ func (a *Accumulator) active() []*replica {
 }
 
 // ingest admits one frame and fans it out to every active replica, then
-// journals it. The first active replica is the admission gate (its full
+// journals it; the caller's reference to a pooled frame keeps o.xs valid
+// for the journal. The first active replica is the admission gate (its full
 // queue is the 429 backpressure signal); once admitted there, the frame
 // blocks until it lands on every other active replica, so an accepted frame
 // is never partially replicated. Runs under the shared replication lock:
@@ -372,19 +373,16 @@ func (a *Accumulator) ingest(o op) error {
 		if r.status != replicaActive {
 			continue
 		}
-		if !admitted {
-			// First active replica is the admission gate.
-			if err := r.eng.enqueue(o, false); err != nil {
-				return err
-			}
-			admitted = true
-			continue
-		}
-		if err := r.eng.enqueue(o, true); err != nil {
-			// ErrGone here means delete raced the ingest; the accepted
-			// frame dies with the accumulator.
+		// Each replica's op holds its own reference to a pooled frame
+		// (the first active replica is the admission gate).
+		o.buf.retain()
+		if err := r.eng.enqueue(o, admitted); err != nil {
+			// ErrGone after admission means delete raced the ingest; the
+			// accepted frame dies with the accumulator.
+			o.buf.release()
 			return err
 		}
+		admitted = true
 	}
 	if !admitted {
 		return ErrGone
