@@ -29,10 +29,10 @@
 //
 // One listener carries both the service API (/v1/...) and the telemetry
 // exporter (/metrics, /debug/vars, /debug/pprof/). SIGINT or SIGTERM
-// triggers a graceful shutdown: stop accepting requests, drain every shard
-// queue, write the snapshot (if -snapshot is set), then exit. A snapshot is
-// a one-record audit chain, so hpaudit can replay it against the frame
-// journal like the audit log. Restarting with -restore reloads the snapshot
+// triggers a graceful shutdown: stop accepting requests (every acked frame
+// is already folded), write the snapshot (if -snapshot is set), then exit.
+// A snapshot is a one-record audit chain, so hpaudit can replay it against
+// the frame journal like the audit log. Restarting with -restore reloads the snapshot
 // byte-identically: the restored accumulators carry the exact limbs,
 // counters, and sticky errors they held at shutdown, and adds accepted
 // after restart continue the same exact trajectory.
@@ -77,9 +77,8 @@ func run(args []string, ready chan<- string, stop <-chan struct{}) error {
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address (service API + telemetry on one listener)")
 		hpn         = fs.Int("n", 6, "default HP total limbs N for new accumulators")
 		hpk         = fs.Int("k", 3, "default HP fractional limbs k")
-		shards      = fs.Int("shards", runtime.GOMAXPROCS(0), "drain lanes per accumulator")
-		queue       = fs.Int("queue", 256, "per-shard queue depth (backpressure bound)")
-		wait        = fs.Duration("enqueue-wait", 5*time.Millisecond, "how long ingest waits for queue room before 429")
+		shards      = fs.Int("shards", runtime.GOMAXPROCS(0), "concurrent fold lanes (partial sums) per replica")
+		wait        = fs.Duration("enqueue-wait", 5*time.Millisecond, "how long ingest waits for an idle shard before 429")
 		snapshot    = fs.String("snapshot", "", "write a snapshot to this path on graceful shutdown")
 		restore     = fs.String("restore", "", "reload accumulators from this snapshot at startup")
 		replicas    = fs.Int("replicas", 1, "in-process replicas per accumulator (k-of-n certified reads)")
@@ -127,7 +126,6 @@ func run(args []string, ready chan<- string, stop <-chan struct{}) error {
 	s := server.New(server.Config{
 		Params:      p,
 		Shards:      *shards,
-		QueueDepth:  *queue,
 		EnqueueWait: *wait,
 		Replicas:    *replicas,
 		Quorum:      *quorum,
@@ -262,10 +260,9 @@ func run(args []string, ready chan<- string, stop <-chan struct{}) error {
 	}
 
 	// Shutdown order matters: stop the HTTP layer first so nothing can
-	// enqueue anymore, snapshot and cut the shutdown audit record while the
-	// shards are still draining (the flush ops queue behind every accepted
-	// frame, so both reflect all acked work), and only then close the drain
-	// goroutines and the audit files.
+	// ingest anymore (an acked frame is already folded), snapshot and cut
+	// the shutdown audit record so both reflect all acked work, and only
+	// then close the server and the audit files.
 	close(stopAudit)
 	auditWG.Wait()
 	if n := gnode.Load(); n != nil {

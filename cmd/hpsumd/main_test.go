@@ -79,7 +79,7 @@ func TestServeSnapshotRestore(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "state.hpss")
 	xs := rng.UniformSet(rng.New(11), 30000, -0.5, 0.5)
 
-	url, done := startDaemon(t, "-snapshot", snap, "-shards", "2", "-queue", "8")
+	url, done := startDaemon(t, "-snapshot", snap, "-shards", "2")
 	c := &server.Client{Base: url, FrameLen: 1024}
 	if _, err := c.Create("acc", core.Params{}); err != nil {
 		t.Fatal(err)

@@ -69,6 +69,11 @@ func (a *Atomic) AddHP(x *HP) {
 	}
 }
 
+// casRaceHook, when non-nil, runs in AddHPCAS between a limb's Load and
+// its CompareAndSwap: a test-only seam that lets a test play a competing
+// adder on limb i and make the CAS lose deterministically.
+var casRaceHook func(a *Atomic, i int)
+
 // AddHPCAS is AddHP implemented with a compare-and-swap loop per limb, the
 // construction the paper demonstrates on CUDA.
 func (a *Atomic) AddHPCAS(x *HP) {
@@ -91,6 +96,9 @@ func (a *Atomic) AddHPCAS(x *HP) {
 		for {
 			old := a.limbs[i].Load()
 			next, co := bits.Add64(old, delta, 0)
+			if casRaceHook != nil {
+				casRaceHook(a, i)
+			}
 			if a.limbs[i].CompareAndSwap(old, next) {
 				carry += co
 				break

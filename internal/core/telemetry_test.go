@@ -1,69 +1,78 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/telemetry"
 )
 
-// contendCAS hammers one atomic accumulator with AddHPCAS from several
-// goroutines and returns the CAS-retry counter delta it produced.
-func contendCAS(t *testing.T, goroutines, adds int) uint64 {
+// forceCASRetries adds x into a fresh atomic accumulator adds times with
+// AddHPCAS while casRaceHook plays a competing adder: on each of the first
+// forced hook calls it adds one unit to the limb being CASed, so exactly
+// that many CASes lose. It returns the CAS-retry counter delta, the final
+// sum, and the exact oracle (adds·x plus every competing unit).
+func forceCASRetries(t *testing.T, adds, forced int) (retries uint64, got, want *HP) {
 	t.Helper()
-	acc := NewAtomic(Params384)
-	// A value whose conversion populates multiple limbs, so every add
-	// CASes several shared words and collisions are likely.
-	before := mCASRetries.Value()
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func() {
-			defer wg.Done()
-			x := New(Params384)
-			if err := x.SetFloat64(1.0 + 0x1p-40); err != nil {
-				panic(err)
-			}
-			for i := 0; i < adds; i++ {
-				acc.AddHPCAS(x)
-			}
-		}()
+	x := New(Params384)
+	if err := x.SetFloat64(1.0 + 0x1p-40); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	return mCASRetries.Value() - before
+	want = New(Params384)
+	for k := 0; k < adds; k++ {
+		want.Add(x)
+	}
+	calls := 0
+	casRaceHook = func(a *Atomic, i int) {
+		if calls < forced {
+			calls++
+			a.limbs[i].Add(1)
+			unit := New(Params384)
+			unit.limbs[i] = 1
+			want.Add(unit)
+		}
+	}
+	defer func() { casRaceHook = nil }()
+	acc := NewAtomic(Params384)
+	before := mCASRetries.Value()
+	for k := 0; k < adds; k++ {
+		acc.AddHPCAS(x)
+	}
+	if calls != forced {
+		t.Fatalf("hook fired %d times, want %d", calls, forced)
+	}
+	return mCASRetries.Value() - before, acc.Snapshot(), want
 }
 
 // TestCASRetriesVisibleUnderContention asserts the satellite requirement:
 // the CAS loop's silent retries must surface in core_cas_retries_total
-// when parallel adders collide. Without the counter, contention on the
-// paper's CAS construction is invisible.
+// when adders collide — one count per lost CAS, and the sum still exact.
+// Without the counter, contention on the paper's CAS construction is
+// invisible.
 func TestCASRetriesVisibleUnderContention(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs real parallelism for CAS collisions")
-	}
 	prev := telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(prev)
-
-	// Retries are probabilistic; with 8 goroutines CASing the same limbs
-	// tens of thousands of times a collision is overwhelmingly likely, but
-	// give the scheduler a few rounds before declaring failure.
-	for round := 0; round < 10; round++ {
-		if retries := contendCAS(t, 8, 20000); retries > 0 {
-			t.Logf("observed %d CAS retries", retries)
-			return
-		}
+	const forced = 7
+	retries, got, want := forceCASRetries(t, 4, forced)
+	if retries != forced {
+		t.Fatalf("core_cas_retries_total moved by %d, want exactly %d", retries, forced)
 	}
-	t.Fatal("no CAS retries recorded under parallel load; counter not wired into AddHPCAS?")
+	if !got.Equal(want) {
+		t.Fatalf("sum after forced retries %v, oracle %v", got, want)
+	}
 }
 
 // TestCASRetryCounterDisabled checks the gate: with telemetry off the
-// counter must not move even under heavy contention.
+// counter must not move even though CASes are lost.
 func TestCASRetryCounterDisabled(t *testing.T) {
 	prev := telemetry.SetEnabled(false)
 	defer telemetry.SetEnabled(prev)
-	if retries := contendCAS(t, 8, 5000); retries != 0 {
+	retries, got, want := forceCASRetries(t, 4, 7)
+	if retries != 0 {
 		t.Fatalf("disabled telemetry recorded %d CAS retries", retries)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("sum after forced retries %v, oracle %v", got, want)
 	}
 }
 

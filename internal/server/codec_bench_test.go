@@ -45,12 +45,13 @@ func (r *loopReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// BenchmarkFrameDecode decodes each frame into a pooled frame buffer and
-// releases it, as the ingest handler does, so a per-frame allocation on
-// that path shows here.
+// BenchmarkFrameDecode decodes each frame into one reused float buffer, as
+// the ingest handler does, so a per-frame allocation on that path shows
+// here.
 func BenchmarkFrameDecode(b *testing.B) {
 	frame := AppendFloatFrame(nil, benchValues())
 	dec := wire.NewDecoder(bufio.NewReader(&loopReader{b: frame}), &IngestFrames, MaxFramePayload)
+	var xs []float64
 	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -58,11 +59,9 @@ func BenchmarkFrameDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fb, err := decodeFloatFrame(f.Payload)
-		if err != nil {
+		if xs, err = frameFloats(xs, f.Payload); err != nil {
 			b.Fatal(err)
 		}
-		fb.release()
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package server implements hpsumd, the order-invariant summation service:
-// a registry of named HP accumulators sharded across drain goroutines,
+// a registry of named, sharded HP accumulators folded in the request handler,
 // served over a stdlib-only HTTP wire surface with streaming binary ingest,
 // admission control, and snapshot/restore through the audit record format.
 //
 // The service leans entirely on the paper's central property (eq. 2):
 // multi-limb two's-complement addition is exactly associative and
 // commutative, so any interleaving of concurrent client batches — across
-// connections, shards, and drain goroutines — produces a bit-identical
+// connections and shards — produces a bit-identical
 // sum. Batching, sharding, and reordering are therefore correctness-free
 // design dimensions; only overflow verdicts need deterministic combine
 // points (MergeChecked at snapshot/read time), mirroring omp.Reduce.
@@ -33,13 +33,13 @@ import (
 //	      MPI ranks or another hpsumd);
 //	'T' — an optional trace-context frame: 16 bytes of (trace id, span id),
 //	      big-endian. It is metadata, not data: the server parents its
-//	      ingest span under it so a frame can be followed client → shard
-//	      queue → fold, but it never counts toward frames_accepted (resume
+//	      ingest span under it so a frame can be followed client → ingest
+//	      → fold, but it never counts toward frames_accepted (resume
 //	      arithmetic is untouched) and never touches accumulator state.
 //	      Clients only send it when tracing is enabled and sampled.
 //
-// A frame is the unit of admission: it is either accepted whole (enqueued
-// on one shard) or rejected whole, so clients can resume after backpressure
+// A frame is the unit of admission: it is either accepted whole (folded
+// into one shard of every replica) or rejected whole, so clients can resume after backpressure
 // by resending only unaccepted frames.
 const (
 	FrameFloat64 byte = 'f'

@@ -14,20 +14,22 @@ import (
 	"repro/internal/rng"
 )
 
-// Pooled frame buffers must outlive every reader of their values: each of
-// three replicas' folds and the journal, through 429 rejections, Ingest-Id
-// skips and a delete of another accumulator mid-stream. A buffer recycled
-// too early would fold another frame's values into some replica, so the
-// certified total (all three replicas byte-identical) and the replayed
-// journal must both equal the serial oracle bit for bit.
+// A request's decode buffer is reused frame to frame, so every reader of a
+// frame's values — each of three replicas' folds and the journal — must
+// be done with them before the next frame is decoded, through 429
+// rejections, Ingest-Id skips and a delete of another accumulator
+// mid-stream. A reader that kept the buffer would fold another frame's
+// values into some replica, so the certified total (all three replicas
+// byte-identical) and the replayed journal must both equal the serial
+// oracle bit for bit.
 func TestFramePoolLifecycleUnderRejectsSkipsAndDelete(t *testing.T) {
 	jpath, lpath, _ := auditPaths(t)
-	s := New(Config{Shards: 1, Replicas: 3, Quorum: 2, QueueDepth: 1, EnqueueWait: time.Millisecond})
+	s := New(Config{Shards: 1, Replicas: 3, Quorum: 2, EnqueueWait: time.Millisecond})
 	if err := s.EnableAudit(jpath, lpath); err != nil {
 		t.Fatal(err)
 	}
 	mux := s.Handler()
-	// Once the parked drain below is released, every third POST into
+	// Once the held shard below is released, every third POST into
 	// "keep" is accepted in full and then severed before its response, so
 	// the client resends that body under the same Ingest-Id and the server
 	// decodes and skips all of it.
@@ -44,14 +46,13 @@ func TestFramePoolLifecycleUnderRejectsSkipsAndDelete(t *testing.T) {
 		}
 		mux.ServeHTTP(w, r)
 	}))
-	// Park the admission replica's drain of "keep" on a snap reply nobody
-	// reads yet: its one-deep queue fills and the next frame is refused
-	// with 429 until unpark.
-	park := make(chan shardState)
+	// Hold the only shard of "keep"'s admission replica (taken below): its
+	// frames are refused with 429 until release.
 	var unpark sync.Once
+	unshard := func() {}
 	release := func() {
 		unpark.Do(func() {
-			<-park
+			unshard()
 			parked.Store(false)
 		})
 	}
@@ -73,8 +74,7 @@ func TestFramePoolLifecycleUnderRejectsSkipsAndDelete(t *testing.T) {
 		}
 	}
 	parked.Store(true)
-	s.Lookup("keep").replicas[0].eng.shards[0].ops <- op{snap: park}
-	mQueueDepth.Inc()
+	unshard = holdAdmissionShard(s.Lookup("keep"))
 
 	keep := rng.UniformSet(rng.New(71), 6000, -1, 1)
 	var keepStats StreamStats
@@ -91,7 +91,7 @@ func TestFramePoolLifecycleUnderRejectsSkipsAndDelete(t *testing.T) {
 	}()
 	for deadline := time.Now().Add(10 * time.Second); busy.Load() == 0; {
 		if time.Now().After(deadline) {
-			t.Fatal("no 429 while the admission drain was parked")
+			t.Fatal("no 429 while the admission shard was held")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -27,7 +27,7 @@ import (
 //	POST   /v1/sum               one-shot: frames in, Info JSON out (?n=&k=)
 //
 // Ingest semantics: frames are admitted one at a time; each accepted frame
-// is enqueued before the next is read, so the frames_accepted count in
+// is folded before the next is read, so the frames_accepted count in
 // every response (success or error) tells the client exactly which prefix
 // of its stream the server owns. On 429 the client resends the unaccepted
 // suffix — double-sending an accepted frame would double-count it, but
@@ -74,7 +74,7 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // noteServerError records an escaped 5xx in the flight recorder and trips
-// a dump: a server error on this service means an invariant broke (enqueue
+// a dump: a server error on this service means an invariant broke (ingest
 // failed for a non-backpressure reason, marshalling a sum failed), which is
 // exactly the moment the recent-event rings are worth keeping.
 func noteServerError(status int, msg string) {
@@ -180,15 +180,14 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 // ingestFrame is one decoded, validated frame of a request body; Type
 // says which of XS (FrameFloat64), HP (FrameHP, already in the target
-// format) or Ctx (FrameTrace) carries it. XS lives in the pooled buf, which
-// readFrames releases once sink returns; a sink that keeps XS past that
-// retains buf (Accumulator.ingest does, per replica op).
+// format) or Ctx (FrameTrace) carries it. XS is the request's decode
+// buffer, overwritten by the next frame: it is valid only until sink
+// returns.
 type ingestFrame struct {
 	Type byte
 	XS   []float64
 	HP   *core.HP
 	Ctx  trace.Context
-	buf  *frameBuf
 }
 
 // readFrames is the one frame-reading loop behind both ingest endpoints.
@@ -196,16 +195,17 @@ type ingestFrame struct {
 // client that stalls mid-body cannot hold the handler; caps the body at
 // MaxRequestBytes, each payload at MaxFramePayload and the data frames at
 // MaxRequestFrames; decodes each frame (a FrameHP must be in format p, a
-// float frame lands in a pooled buffer) and hands it to sink. It returns
-// nil at a clean end of stream, else the HTTP status and error that ended
-// the request: 408 for a stall, 413 for a cap, 400 for a bad frame, or
-// whatever sink returned.
+// float frame lands in one buffer reused frame to frame) and hands it to
+// sink. It returns nil at a clean end of stream, else the HTTP status and
+// error that ended the request: 408 for a stall, 413 for a cap, 400 for a
+// bad frame, or whatever sink returned.
 func (s *Server) readFrames(w http.ResponseWriter, r *http.Request, p core.Params,
 	sink func(ingestFrame) (int, error)) (int, error) {
 	rc := http.NewResponseController(w)
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
 	dec := wire.NewDecoder(bufio.NewReader(body), &IngestFrames, s.cfg.MaxFramePayload)
 	frames := 0
+	var xs []float64 // float decode buffer, reused frame to frame
 	for {
 		// ErrNotSupported (e.g. an httptest.ResponseRecorder) just means no
 		// deadline enforcement, which is fine for in-process use.
@@ -248,24 +248,21 @@ func (s *Server) readFrames(w http.ResponseWriter, r *http.Request, p core.Param
 					fr.HP.Params().N, fr.HP.Params().K, p.N, p.K)
 			}
 		default:
-			if fr.buf, err = decodeFloatFrame(f.Payload); err == nil {
-				fr.XS = fr.buf.xs
-			}
+			xs, err = frameFloats(xs, f.Payload)
+			fr.XS = xs
 		}
 		if err != nil {
 			mBadFrames.Inc()
 			return http.StatusBadRequest, err
 		}
-		status, err := sink(fr)
-		fr.buf.release()
-		if err != nil {
+		if status, err := sink(fr); err != nil {
 			return status, err
 		}
 	}
 }
 
 // handleAdd is the streaming ingest endpoint: readFrames decodes the body
-// and every data frame is enqueued whole before the next is read.
+// and every data frame is folded whole before the next is read.
 //
 // Idempotent resume: a request may carry an Ingest-Id header naming its
 // frame stream. The server remembers, per accumulator, how many data frames
@@ -331,7 +328,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		if f.Type == FrameHP {
 			err = a.AddHPTraced(f.HP, span.Context())
 		} else {
-			err = a.ingest(op{xs: f.XS, buf: f.buf, tctx: span.Context()})
+			err = a.AddFloatsTraced(f.XS, span.Context())
 		}
 		switch {
 		case err == nil:
@@ -342,7 +339,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 			a.noteAccepted(ingestID, res.FramesAccepted)
 			return 0, nil
 		case errors.Is(err, ErrBusy):
-			return http.StatusTooManyRequests, errors.New("shard queue full; retry unaccepted frames")
+			return http.StatusTooManyRequests, errors.New("every shard busy; retry unaccepted frames")
 		case errors.Is(err, ErrGone):
 			return http.StatusGone, errors.New("accumulator deleted mid-stream")
 		default:

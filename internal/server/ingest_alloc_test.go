@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -25,10 +26,9 @@ func bulkBody() []byte {
 	return body
 }
 
-// bulkServer returns a server holding one accumulator, "bulk", with room
-// queued for many requests so ingest never sees backpressure.
+// bulkServer returns a server holding one accumulator, "bulk".
 func bulkServer(tb testing.TB) (*Server, *Accumulator) {
-	s := New(Config{QueueDepth: 4096})
+	s := New(Config{})
 	a, _, err := s.Create("bulk", core.Params{})
 	if err != nil {
 		tb.Fatal(err)
@@ -44,15 +44,12 @@ func postBulk(tb testing.TB, h http.Handler, body []byte) {
 	}
 }
 
-// Once the frame pool is warm, a data frame must cost the server a small,
-// fixed amount of heap: the request's own bookkeeping spread over its
-// frames, never a fresh decode buffer per frame (4096 values are 32 KiB).
-// Each POST is followed by a flushing read, so every frame buffer is back
-// in the pool before the next request however the drains are scheduled.
+// A data frame must cost the server a small, fixed amount of heap: the
+// request's own bookkeeping, and its one reused decode buffer, spread over
+// its frames — never a fresh decode buffer per frame (4096 values are
+// 32 KiB). Each POST is followed by a certifying read, as a client's
+// stream-then-read does.
 func TestIngestSteadyStateHeapPerFrame(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool discards at random under the race detector")
-	}
 	s, a := bulkServer(t)
 	defer s.Close()
 	h := s.Handler()
@@ -88,8 +85,8 @@ func TestIngestSteadyStateHeapPerFrame(t *testing.T) {
 }
 
 // BenchmarkIngestPOST is the server ingest layer: one 64-frame request
-// through Handler() per op, decode, admission and enqueue included; the
-// folds run on the shard drains concurrently.
+// through Handler() per op, decode, admission and fold included. A single
+// request decodes and folds its frames in turn, on one goroutine.
 func BenchmarkIngestPOST(b *testing.B) {
 	s, a := bulkServer(b)
 	defer s.Close()
@@ -104,5 +101,37 @@ func BenchmarkIngestPOST(b *testing.B) {
 	b.StopTimer()
 	if _, err := a.State(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// An idle accumulator costs only its replicas' partial sums: no goroutine
+// per accumulator, replica or shard, and bounded heap. 1000 accumulators
+// at 2 shards × 3 replicas (6 SuperAccumulators each) must start no
+// goroutine and hold at most 128 KiB of heap apiece after GC.
+func TestIdleAccumulatorCost(t *testing.T) {
+	const accs = 1000
+	s := New(Config{Shards: 2, Replicas: 3})
+	defer s.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	goroutines := runtime.NumGoroutine()
+	for i := 0; i < accs; i++ {
+		if _, _, err := s.Create(fmt.Sprintf("idle-%d", i), core.Params{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("%d idle accumulators started %d goroutines", accs, n-goroutines)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perAcc := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / accs
+	t.Logf("heap per idle accumulator: %.1f KiB", perAcc/1024)
+	if perAcc > 128<<10 {
+		t.Fatalf("heap per idle accumulator %.1f KiB, want <= 128 KiB", perAcc/1024)
+	}
+	if n := len(s.Names()); n != accs {
+		t.Fatalf("%d accumulators registered, want %d", n, accs)
 	}
 }

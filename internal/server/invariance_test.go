@@ -34,7 +34,7 @@ func TestConcurrentClientsOrderInvariance(t *testing.T) {
 	const clients = 8
 	for _, seed := range []uint64{1, 20160523} {
 		for _, shards := range []int{1, 4} {
-			s, c := newTestServer(t, Config{Shards: shards, QueueDepth: 16})
+			s, c := newTestServer(t, Config{Shards: shards})
 			xs := rng.UniformSet(rng.New(seed), 40000, -0.5, 0.5)
 			want := oracleText(t, s.Config().Params, xs)
 			if _, err := c.Create("inv", core.Params{}); err != nil {
@@ -216,7 +216,7 @@ func TestDeleteUnderLoadIsClean(t *testing.T) {
 	// Deleting an accumulator while clients stream into it must end every
 	// request with a clean status (accepted, 404, or 410) and leak nothing;
 	// the race detector guards the shard teardown.
-	_, c := newTestServer(t, Config{Shards: 2, QueueDepth: 4})
+	_, c := newTestServer(t, Config{Shards: 2})
 	if _, err := c.Create("doomed", core.Params{}); err != nil {
 		t.Fatal(err)
 	}

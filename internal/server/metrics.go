@@ -10,17 +10,15 @@ var (
 	mRequests = telemetry.NewCounter("server_requests_total",
 		"HTTP requests handled by the summation service (all endpoints).")
 	mFrames = telemetry.NewCounter("server_frames_total",
-		"Ingest frames accepted and enqueued onto a shard.")
+		"Ingest frames accepted and folded into every active replica.")
 	mValues = telemetry.NewCounter("server_values_total",
 		"Float64 values accepted through ingest frames.")
 	mBadFrames = telemetry.NewCounter("server_bad_frames_total",
 		"Ingest frames rejected for structural reasons: truncation, checksum mismatch, bad type, oversize, non-finite values, or parameter mismatch.")
 	mRejectedAdds = telemetry.NewCounter("server_rejected_adds_total",
-		"Frames refused with 429 because the target shard queue stayed full past the enqueue wait (backpressure).")
-	mQueueDepth = telemetry.NewGauge("server_queue_depth",
-		"Ingest operations currently enqueued across all shards of all accumulators.")
+		"Frames refused with 429 because no shard of the admission replica came free within the enqueue wait (backpressure).")
 	mDrainLatency = telemetry.NewHistogram("server_drain_latency_seconds",
-		"Time from frame enqueue to the shard drain goroutine finishing its accumulation.",
+		"Time from an ingest asking one replica for a shard to that replica's fold finishing: shard wait plus fold.",
 		telemetry.DurationBuckets())
 	mAccumulators = telemetry.NewGauge("server_accumulators",
 		"Named accumulators currently registered.")

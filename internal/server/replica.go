@@ -101,11 +101,11 @@ type report struct {
 // agree is the certification core and the one cut of an accumulator's
 // agreed state: State, Certified, Envelope, audit records and snapshots all
 // read through it. It takes a.mu exclusively, which quiesces ingest: every
-// accepted frame has landed on every active replica (and been journaled),
-// so honest replicas answer identically.
+// accepted frame has been folded into every active replica (and been
+// journaled), so honest replicas answer identically.
 //
-// It flushes each active replica, groups the reports by envelope digest,
-// and picks the largest group as the quorum candidate. With a quorum:
+// It reads each active replica's merged state, groups the reports by
+// envelope digest, and picks the largest group as the quorum candidate. With a quorum:
 // minority replicas are quarantined and reseeded (or struck out), and agree
 // returns the agreed state — decoded from the agreed envelope, so the
 // served value is the certified bytes by construction, and caller-owned —
@@ -115,9 +115,12 @@ type report struct {
 func (a *Accumulator) agree() (engineState, *Certificate, []int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.gone {
+		return engineState{}, nil, nil, ErrGone
+	}
 	mergeSpan := trace.StartRoot("server.merge")
 	mergeSpan.Attr(trace.Str("acc", a.name))
-	mergeSpan.Attr(trace.Int("shards", int64(len(a.replicas[0].eng.shards))))
+	mergeSpan.Attr(trace.Int("shards", int64(a.cfg.Shards)))
 	mergeSpan.Attr(trace.Int("replicas", int64(len(a.replicas))))
 	defer mergeSpan.End()
 
@@ -128,10 +131,7 @@ func (a *Accumulator) agree() (engineState, *Certificate, []int, error) {
 	}
 	reports := make([]report, 0, len(actives))
 	for _, r := range actives {
-		st, err := r.eng.state(mergeSpan.Context())
-		if err != nil {
-			return engineState{}, nil, nil, err
-		}
+		st := r.eng.state()
 		env, err := st.sum.MarshalBinary()
 		if err != nil {
 			return engineState{}, nil, nil, err
@@ -209,8 +209,8 @@ func (a *Accumulator) agree() (engineState, *Certificate, []int, error) {
 // synchronously reseeded from the agreed state (exact HP hand-off), after
 // which an honest-but-corrupted replica is byte-identical to the quorum
 // again. Second strike: the replica lied again after a repair — it is
-// quarantined permanently and its engine stopped. Caller holds a.mu
-// exclusively.
+// quarantined permanently and no frame is folded into it again. Caller
+// holds a.mu exclusively.
 func (a *Accumulator) punish(rep report, agreed engineState, winner [audit.HashLen]byte) {
 	r := rep.r
 	r.strikes++
@@ -224,24 +224,16 @@ func (a *Accumulator) punish(rep report, agreed engineState, winner [audit.HashL
 	trace.TripDump("replica-divergence",
 		fmt.Sprintf("acc %q: replica %d diverged from the quorum (strike %d): agreed %x, reported %x",
 			a.name, r.id, r.strikes, winner[:8], rep.digest[:8]))
-	if r.strikes >= 2 {
-		r.status = replicaQuarantined
-		r.eng.stop()
-		mQuarantines.Inc()
-		return
-	}
-	fresh := newEngine(a.name, a.params, a.cfg)
-	if err := fresh.seed(agreed); err != nil {
+	if r.strikes < 2 {
 		// Seeding a fresh, empty engine cannot fail structurally; if it
 		// somehow does, strike the replica out rather than serve from it.
-		fresh.stop()
-		r.status = replicaQuarantined
-		r.eng.stop()
-		mQuarantines.Inc()
-		return
+		fresh := newEngine(a.name, a.params, a.cfg)
+		if fresh.seed(agreed) == nil {
+			r.eng = fresh
+			mReseeds.Inc()
+			return
+		}
 	}
-	old := r.eng
-	r.eng = fresh
-	old.stop()
-	mReseeds.Inc()
+	r.status = replicaQuarantined
+	mQuarantines.Inc()
 }

@@ -269,7 +269,7 @@ func TestNoQuorumFailsClosedWithoutQuarantine(t *testing.T) {
 // written.
 func TestConcurrentWritersWithCertifiedReads(t *testing.T) {
 	const writers = 8
-	s := New(Config{Shards: 2, Replicas: 3, Quorum: 2, QueueDepth: 1 << 12})
+	s := New(Config{Shards: 2, Replicas: 3, Quorum: 2})
 	defer s.Close()
 	a, _, err := s.Create("acc", core.Params{})
 	if err != nil {

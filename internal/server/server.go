@@ -24,9 +24,10 @@ type Config struct {
 	// Params is the default HP format for accumulators created without an
 	// explicit format. Defaults to core.Params384.
 	Params core.Params
-	// Shards is the number of independent drain lanes per replica.
-	// Defaults to GOMAXPROCS; associativity makes the count invisible in
-	// the sums, so it only trades contention for goroutines.
+	// Shards is the number of independent partial sums per replica: up to
+	// Shards ingests fold into one replica at once. Defaults to GOMAXPROCS;
+	// associativity makes the count invisible in the sums, so it only
+	// trades fold contention for memory.
 	Shards int
 	// Replicas is the number of independent replica engines every accepted
 	// frame is folded into (n). Defaults to 1 (replication off: every
@@ -42,11 +43,9 @@ type Config struct {
 	// equivocate, or replay stale state without the replica itself being
 	// wrong; production servers leave it nil.
 	ReportHook func(replica int, env []byte) []byte
-	// QueueDepth bounds each shard's pending-operation channel; a full
-	// queue is the backpressure signal. Defaults to 256.
-	QueueDepth int
-	// EnqueueWait is how long an ingest waits for queue room before giving
-	// up with a busy error (HTTP 429). Defaults to 5ms.
+	// EnqueueWait is how long an ingest waits for an idle shard of the
+	// admission replica before giving up with a busy error (HTTP 429).
+	// Defaults to 5ms.
 	EnqueueWait time.Duration
 	// MaxFramePayload caps a single frame's payload bytes (default
 	// MaxFramePayload); MaxRequestBytes caps one request body (default
@@ -79,9 +78,6 @@ func (c Config) withDefaults() Config {
 	if c.Quorum > c.Replicas {
 		c.Quorum = c.Replicas
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
 	if c.EnqueueWait <= 0 {
 		c.EnqueueWait = 5 * time.Millisecond
 	}
@@ -106,7 +102,7 @@ func (c Config) withDefaults() Config {
 // Sentinel errors surfaced by the registry and mapped onto HTTP statuses by
 // the handler layer.
 var (
-	ErrBusy         = errors.New("server: shard queue full")
+	ErrBusy         = errors.New("server: every shard busy")
 	ErrGone         = errors.New("server: accumulator deleted")
 	ErrNotFound     = errors.New("server: no such accumulator")
 	ErrExists       = errors.New("server: accumulator exists with different parameters")
@@ -214,8 +210,9 @@ func (s *Server) Lookup(name string) *Accumulator {
 	return s.accs[name]
 }
 
-// Delete unregisters name and signals its drain goroutines to stop,
-// dropping any queued operations. It reports whether the name existed.
+// Delete unregisters name and marks its accumulator gone once every
+// in-flight ingest into it has finished: later ingests and reads of a
+// stale handle fail with ErrGone. It reports whether the name existed.
 // Deleting an audited accumulator invalidates the audit trail for that
 // name: its journaled frames outlive the state they were folded into.
 func (s *Server) Delete(name string) bool {
@@ -227,7 +224,9 @@ func (s *Server) Delete(name string) bool {
 	}
 	s.mu.Unlock()
 	if ok {
-		a.stop()
+		a.mu.Lock()
+		a.gone = true
+		a.mu.Unlock()
 	}
 	return ok
 }
@@ -244,20 +243,13 @@ func (s *Server) Names() []string {
 	return out
 }
 
-// Close drains every shard queue and stops the drain goroutines. It must
-// only be called once no more requests are being delivered (after HTTP
-// shutdown): queued work is fully applied, then the goroutines exit.
+// Close marks the server closed: Create and EnableAudit fail from then
+// on. Every acked frame is already folded, so there is nothing to drain;
+// the accumulators stay readable for a final Snapshot or AuditRecord.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
-	accs := make([]*Accumulator, 0, len(s.accs))
-	for _, a := range s.accs {
-		accs = append(accs, a)
-	}
 	s.mu.Unlock()
-	for _, a := range accs {
-		a.closeDrain()
-	}
 }
 
 // Info is the JSON description of one accumulator, as served by the read
@@ -281,9 +273,10 @@ type Info struct {
 // independent engines. Every accepted frame is folded into every active
 // replica; reads are certified by comparing the replicas' canonical states
 // byte for byte (replica.go). mu is the replication lock: ingest holds it
-// shared (frames fan out concurrently), while certification, quarantine,
-// reseeding, and audit cuts hold it exclusively — an exclusive acquisition
-// is therefore a quiescent point where the set of accepted frames is exact.
+// shared (frames fold concurrently, each under a shard token), while
+// certification, quarantine, reseeding, audit cuts and delete hold it
+// exclusively — an exclusive acquisition is therefore a quiescent point
+// where no fold is in flight and the set of accepted frames is exact.
 type Accumulator struct {
 	name   string
 	params core.Params
@@ -292,6 +285,7 @@ type Accumulator struct {
 
 	mu       sync.RWMutex
 	replicas []*replica
+	gone     bool // deleted: ingest and reads fail with ErrGone
 
 	// Ingest-Id resume state: id -> frames accepted under that id, so a
 	// client retrying a transport-severed POST with the same id and body
@@ -299,8 +293,6 @@ type Accumulator struct {
 	resMu      sync.Mutex
 	resume     map[string]int
 	resumeFIFO []string
-
-	stopOnce sync.Once
 }
 
 func newAccumulator(name string, p core.Params, cfg Config, aud *auditState) *Accumulator {
@@ -319,32 +311,6 @@ func (a *Accumulator) Name() string { return a.name }
 // Params returns the accumulator's HP format.
 func (a *Accumulator) Params() core.Params { return a.params }
 
-// stop kills every replica's drains, dropping queued work (delete
-// semantics).
-func (a *Accumulator) stop() {
-	a.stopOnce.Do(func() {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		for _, r := range a.replicas {
-			r.eng.stop()
-		}
-	})
-}
-
-// closeDrain gracefully drains every replica (graceful shutdown semantics).
-// The caller guarantees no concurrent enqueues.
-func (a *Accumulator) closeDrain() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, r := range a.replicas {
-		if r.status == replicaActive {
-			r.eng.closeDrain()
-		} else {
-			r.eng.stop()
-		}
-	}
-}
-
 // active returns the replicas currently serving (not permanently
 // quarantined). Caller holds mu (shared or exclusive).
 func (a *Accumulator) active() []*replica {
@@ -357,29 +323,28 @@ func (a *Accumulator) active() []*replica {
 	return out
 }
 
-// ingest admits one frame and fans it out to every active replica, then
-// journals it; the caller's reference to a pooled frame keeps o.xs valid
-// for the journal. The first active replica is the admission gate (its full
-// queue is the 429 backpressure signal); once admitted there, the frame
-// blocks until it lands on every other active replica, so an accepted frame
-// is never partially replicated. Runs under the shared replication lock:
-// an exclusive acquisition (certify/audit) observes either all of a frame's
+// ingest admits one frame, folds it into every active replica in the
+// calling goroutine, then journals it; when it returns nil the frame is in
+// the sum and nothing of o is retained. The first active replica is the
+// admission gate (no shard coming free within EnqueueWait is the 429
+// backpressure signal); once admitted there, the frame waits for a shard
+// of every other active replica, so an accepted frame is never partially
+// replicated. An ingest holds one shard token at a time, so the waits
+// cannot deadlock. Runs under the shared replication lock: an exclusive
+// acquisition (certify/audit/delete) observes either all of a frame's
 // effects or none.
 func (a *Accumulator) ingest(o op) error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
+	if a.gone {
+		return ErrGone
+	}
 	admitted := false
 	for _, r := range a.replicas {
 		if r.status != replicaActive {
 			continue
 		}
-		// Each replica's op holds its own reference to a pooled frame
-		// (the first active replica is the admission gate).
-		o.buf.retain()
-		if err := r.eng.enqueue(o, admitted); err != nil {
-			// ErrGone after admission means delete raced the ingest; the
-			// accepted frame dies with the accumulator.
-			o.buf.release()
+		if err := r.eng.fold(o, admitted); err != nil {
 			return err
 		}
 		admitted = true
@@ -387,7 +352,7 @@ func (a *Accumulator) ingest(o op) error {
 	if !admitted {
 		return ErrGone
 	}
-	if a.aud != nil && !o.seed {
+	if a.aud != nil {
 		if err := a.aud.journalOp(a.name, o); err != nil {
 			// The frame is folded but not journaled — a real durability
 			// fault the audit replay will name. Surface it loudly.
@@ -397,21 +362,21 @@ func (a *Accumulator) ingest(o op) error {
 	return nil
 }
 
-// AddFloats enqueues one accepted frame of values. The slice is owned by
-// the accumulator from this point on.
+// AddFloats folds one frame of values into every active replica before it
+// returns; the caller keeps the slice.
 func (a *Accumulator) AddFloats(xs []float64) error { return a.ingest(op{xs: xs}) }
 
-// AddFloatsTraced is AddFloats carrying a trace context: the shard-side
-// fold becomes a child span of tctx. The invalid context costs nothing.
+// AddFloatsTraced is AddFloats carrying a trace context: the fold becomes
+// a child span of tctx. The invalid context costs nothing.
 func (a *Accumulator) AddFloatsTraced(xs []float64, tctx trace.Context) error {
 	return a.ingest(op{xs: xs, tctx: tctx})
 }
 
-// AddHP enqueues one HP partial sum (an exact hand-off from another
+// AddHP folds one HP partial sum (an exact hand-off from another
 // reduction). The value must match the accumulator's format.
 func (a *Accumulator) AddHP(h *core.HP) error { return a.AddHPTraced(h, trace.Context{}) }
 
-// AddHPTraced is AddHP carrying a trace context for the shard-side fold.
+// AddHPTraced is AddHP carrying a trace context for the fold.
 func (a *Accumulator) AddHPTraced(h *core.HP, tctx trace.Context) error {
 	if h.Params() != a.params {
 		return core.ErrParamMismatch

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,7 +20,7 @@ import (
 
 // newTestServer starts an httptest server around a fresh Server and
 // returns both plus a ready client. Cleanup tears the HTTP layer down
-// before draining the shards, matching the documented shutdown order.
+// before closing the server, matching the documented shutdown order.
 func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 	t.Helper()
 	s := New(cfg)
@@ -265,30 +267,41 @@ func TestRequestBodyCapRejected(t *testing.T) {
 	}
 }
 
+// holdAdmissionShard takes the only idle shard of a's admission replica
+// (a must run with Shards: 1), so every ingest into a is refused with 429
+// once EnqueueWait passes, until the returned func hands the shard back.
+// The release is idempotent.
+func holdAdmissionShard(a *Accumulator) (release func()) {
+	eng := a.replicas[0].eng
+	sh := <-eng.free
+	var once sync.Once
+	return func() { once.Do(func() { eng.free <- sh }) }
+}
+
 func TestBackpressure429AndResume(t *testing.T) {
-	// One shard with a one-deep queue and a negligible enqueue wait: a big
-	// frame parks the drain goroutine, the next fills the queue, and the
-	// third must be refused with 429 + Retry-After. The parking frame must
-	// keep the drain busy well past the scheduler's worst-case preemption
-	// latency (~20ms on GOMAXPROCS=1): if the admission waiter only wakes
-	// when the fold finishes and the queue has room again, the timed-out
-	// select can race the now-ready send and admit the frame.
-	s, c := newTestServer(t, Config{
-		Shards: 1, QueueDepth: 1, EnqueueWait: time.Millisecond,
-		MaxFramePayload: 256 << 20, MaxRequestBytes: 512 << 20,
+	// One shard and a negligible enqueue wait: while the test holds the
+	// admission replica's only shard, the first frame of a POST must be
+	// refused with 429 + Retry-After and nothing accepted.
+	s := New(Config{Shards: 1, EnqueueWait: time.Millisecond})
+	mux := s.Handler()
+	var busy atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mux.ServeHTTP(statusSpy{w, &busy}, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
 	})
+	c := &Client{Base: ts.URL, HTTP: ts.Client(), RetryWait: time.Millisecond}
 	if _, err := c.Create("bp", core.Params{}); err != nil {
 		t.Fatal(err)
 	}
-	big := make([]float64, 1<<24)
-	for i := range big {
-		big[i] = 1.0 / (1 << 20)
-	}
+	release := holdAdmissionShard(s.Lookup("bp"))
 	var body []byte
-	body = AppendFloatFrame(body, big)                // occupies the drain
-	body = AppendFloatFrame(body, []float64{1})       // sits in the queue
-	body = AppendFloatFrame(body, []float64{2, 3, 4}) // must bounce
+	body = AppendFloatFrame(body, []float64{1})
+	body = AppendFloatFrame(body, []float64{2, 3, 4})
 	resp, err := c.http().Post(c.url("/v1/acc/bp/add"), "application/octet-stream", bytes.NewReader(body))
+	release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,24 +315,41 @@ func TestBackpressure429AndResume(t *testing.T) {
 	if err := decodeJSON(resp, &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.FramesAccepted < 1 || res.FramesAccepted > 2 {
-		t.Fatalf("frames_accepted %d, want 1 or 2", res.FramesAccepted)
+	if res.FramesAccepted != 0 {
+		t.Fatalf("frames_accepted %d, want 0", res.FramesAccepted)
 	}
 
-	// The client's retry loop must push a full workload through this same
-	// tiny-queue server, and the result must still be exact.
+	// The client's retry loop must push a full workload through once the
+	// shard comes back: hold it until the stream's first 429, then release
+	// it. The result must still be exact.
 	xs := rng.UniformSet(rng.New(9), 5000, -1, 1)
 	if _, err := c.Create("resume", core.Params{}); err != nil {
 		t.Fatal(err)
 	}
 	c.FrameLen = 64
 	c.ReqFrames = 8
-	stats, err := c.Stream("resume", xs)
-	if err != nil {
+	release = holdAdmissionShard(s.Lookup("resume"))
+	defer release()
+	seen := busy.Load()
+	var stats StreamStats
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		stats, err = c.Stream("resume", xs)
+		done <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); busy.Load() == seen; {
+		if time.Now().After(deadline) {
+			t.Fatal("no 429 while the admission shard was held")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if stats.Values != len(xs) {
-		t.Fatalf("acked %d values, want %d", stats.Values, len(xs))
+	if stats.Values != len(xs) || stats.Retries == 0 {
+		t.Fatalf("stream stats %+v, want %d values and some retries", stats, len(xs))
 	}
 	info, err := c.Get("resume")
 	if err != nil {

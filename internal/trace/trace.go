@@ -9,10 +9,9 @@
 //   - Spans: when enabled (and sampled), code brackets operations in
 //     Span values carrying a (trace id, span id, parent span) context.
 //     Completed spans land in lock-free sharded ring buffers; the context
-//     travels across process-internal boundaries (shard queues) and wire
-//     boundaries (internal/server ingest frames, internal/mpi message
-//     headers), so one ingest frame can be followed client → shard queue →
-//     SuperAccumulator fold → merge, and an AllreduceFT round through every
+//     travels across wire boundaries (internal/server ingest frames,
+//     internal/mpi message headers), so one ingest frame can be followed
+//     client → server ingest → SuperAccumulator fold → merge, and an AllreduceFT round through every
 //     rank including retransmits and recovery. Export as Chrome
 //     trace-event JSON via WriteChromeTrace (chrome.go).
 //
