@@ -78,6 +78,15 @@ func (e *JournalEntry) Floats() ([]float64, error) {
 	return xs, nil
 }
 
+// checkFloats validates a JournalFloats payload as Floats does, without
+// decoding it: replay folds the verified bytes in place.
+func (e *JournalEntry) checkFloats() error {
+	if err := wire.CheckFloat64s(e.Payload, core.ErrNotFinite); err != nil {
+		return fmt.Errorf("%w: float entry: %w", ErrJournalCorrupt, err)
+	}
+	return nil
+}
+
 // AppendJournalEntry appends e's wire image to buf and returns the extended
 // slice.
 func AppendJournalEntry(buf []byte, e *JournalEntry) ([]byte, error) {
@@ -236,19 +245,6 @@ func (j *Journal) Append(e *JournalEntry) error {
 		return err
 	}
 	return j.write(buf)
-}
-
-// AppendFloats writes one JournalFloats entry for xs: the bytes Append
-// writes for a wire.AppendFloat64s payload, encoded straight into the
-// journal's buffer with no intermediate payload slice.
-func (j *Journal) AppendFloats(name string, xs []float64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	buf, err := appendJournalHead(j.buf[:0], &JournalEntry{Kind: JournalFloats, Name: name}, 8*len(xs))
-	if err != nil {
-		return err
-	}
-	return j.write(wire.Seal(wire.AppendFloat64s(buf, xs), 0))
 }
 
 // write keeps buf's storage for the next entry and writes buf out. Caller

@@ -112,15 +112,15 @@ func Verify(records []*Record, jr *JournalReader) (*VerifyResult, error) {
 				st = &replayAcc{s: core.NewSuper(p)}
 				accs[e.Name] = st
 			}
-			xs, err := e.Floats()
-			if err != nil {
+			if err := e.checkFloats(); err != nil {
 				return &Divergence{Seq: seq, Name: e.Name, Reason: err.Error()}
 			}
-			st.s.AddSlice(xs)
+			n := uint64(len(e.Payload) / 8)
+			st.s.AddFloat64sBE(e.Payload)
 			st.frames++
-			st.adds += uint64(len(xs))
+			st.adds += n
 			res.FramesReplayed++
-			res.ValuesReplayed += uint64(len(xs))
+			res.ValuesReplayed += n
 			return nil
 		case JournalHP:
 			if !audited {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/wire"
 )
 
 // This file proves the amd64 assembly kernels bit-identical to the
@@ -74,30 +75,15 @@ func superTwins(t *testing.T, p Params) (asm, gen *SuperAccumulator) {
 }
 
 // diffSupers drives both twins through identical AddSlice calls and
-// compares every piece of observable state: canonical limbs, rounded
-// float64, sticky error, watermark, and per-bin stripe totals.
+// compares every piece of observable state (spilledDiff).
 func diffSupers(t *testing.T, asm, gen *SuperAccumulator, slices [][]float64) {
 	t.Helper()
 	for _, xs := range slices {
 		asm.AddSlice(xs)
 		gen.AddSlice(xs)
 	}
-	if asm.lo != gen.lo || asm.hi != gen.hi {
-		t.Fatalf("watermark diverged: asm [%d,%d], generic [%d,%d]", asm.lo, asm.hi, gen.lo, gen.hi)
-	}
-	for i := 0; i < asm.nbins; i++ {
-		if a, g := binTotal(asm, i), binTotal(gen, i); a != g {
-			t.Fatalf("bin %d total diverged: asm %d, generic %d", i, a, g)
-		}
-	}
-	if (asm.Err() == nil) != (gen.Err() == nil) || (asm.Err() != nil && asm.Err().Error() != gen.Err().Error()) {
-		t.Fatalf("sticky error diverged: asm %v, generic %v", asm.Err(), gen.Err())
-	}
-	if !asm.Sum().Equal(gen.Sum()) {
-		t.Fatalf("canonical sum diverged:\n  asm     %s\n  generic %s", asm.Sum(), gen.Sum())
-	}
-	if a, g := asm.Float64(), gen.Float64(); math.Float64bits(a) != math.Float64bits(g) {
-		t.Fatalf("rounded sum diverged: asm %x, generic %x", math.Float64bits(a), math.Float64bits(g))
+	if d := spilledDiff(asm, gen); d != "" {
+		t.Fatalf("asm vs generic: %s", d)
 	}
 }
 
@@ -160,6 +146,66 @@ func TestAsmChunkShortSlices(t *testing.T) {
 		}
 	}
 	diffSupers(t, asm, gen, nil)
+}
+
+// TestAsmChunkBEMatchesGeneric: the AVX2 front loop reading big-endian
+// payloads (VPSHUFB after each load, the same shuffle in the scalar tail)
+// against the Go twin, on every format with specials, in ragged payloads
+// at every byte alignment.
+func TestAsmChunkBEMatchesGeneric(t *testing.T) {
+	requireAVX2(t)
+	for _, p := range batchFormats {
+		t.Run(p.String(), func(t *testing.T) {
+			asm, gen := superTwins(t, p)
+			xs := beStream(p, 77, 4000)
+			r := rand.New(rand.NewSource(13))
+			buf := make([]byte, 8+8*97)
+			for off := 0; off < len(xs); {
+				n := min(r.Intn(97)+1, len(xs)-off)
+				align := r.Intn(8)
+				payload := wire.AppendFloat64s(buf[:align], xs[off:off+n])[align:]
+				asm.AddFloat64sBE(payload)
+				gen.AddFloat64sBE(payload)
+				off += n
+			}
+			if d := spilledDiff(asm, gen); d != "" {
+				t.Fatal(d)
+			}
+		})
+	}
+}
+
+// TestAsmChunkBEShortSlices: every payload length 0..67 values at each of
+// three byte offsets, gate misses and a sticky error inside the first
+// vector groups, with the spill bound lowered so spills split payloads at
+// every position relative to the vector width.
+func TestAsmChunkBEShortSlices(t *testing.T) {
+	requireAVX2(t)
+	xs := batchValues(Params384, 5, 70)
+	xs[2] = 0             // gate miss inside the first vector group
+	xs[6] = math.NaN()    // sticky error mid-stream
+	xs[9] = -0x1p-1074    // subnormal slow path
+	xs[13] = math.Inf(-1) // a second non-finite value: the error stays the first
+	backing := wire.AppendFloat64s(nil, xs)
+	for _, every := range []uint64{MaxSuperAdds, 7} {
+		asm, gen := superTwins(t, Params384)
+		for _, s := range []*SuperAccumulator{asm, gen} {
+			s.spillEvery, s.room = every, every
+		}
+		for n := 0; n <= 67; n++ {
+			for off := 0; off < 3; off++ {
+				payload := backing[8*off : 8*(off+n)]
+				asm.AddFloat64sBE(payload)
+				gen.AddFloat64sBE(payload)
+			}
+			if d := superDiff(asm, gen); d != "" {
+				t.Fatalf("spill every %d, length %d: %s", every, n, d)
+			}
+		}
+		if d := spilledDiff(asm, gen); d != "" {
+			t.Fatalf("spill every %d: %s", every, d)
+		}
+	}
 }
 
 // TestAsmKernelsMatchGeneric: the ADC limb kernels against the bits.Add64

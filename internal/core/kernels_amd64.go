@@ -2,7 +2,13 @@
 
 package core
 
-import "repro/internal/cpu"
+import (
+	"encoding/binary"
+	"math"
+	"unsafe"
+
+	"repro/internal/cpu"
+)
 
 // haveAsm marks this build as carrying the hand-written amd64 kernels in
 // kernels_amd64.s; whether they are dispatched is decided at runtime by
@@ -17,17 +23,26 @@ func init() { asmOn.Store(cpu.AsmAllowed()) }
 func useAVX2() bool { return AsmEnabled() && cpu.X86.HasAVX2 }
 
 // superAddChunkAVX2 is the vectorized superaccumulator front loop
-// (kernels_amd64.s): it processes xs[0:stop] — four float64s per
+// (kernels_amd64.s): it processes n values at xs, xs[0:stop] — four per
 // iteration with a packed exponent gate, falling back to a scalar
 // assembly path for short tails — adding each signed significand into the
 // stripe of the bin its exponent selects, and maintains the touched-bin
-// watermark. stop == n when every element passed the gate; otherwise
-// xs[stop] needs the Go slow path (zero, subnormal, out-of-gate, or
-// non-finite) and the caller resumes after it. bins must hold
-// superStripes*nbins lanes.
+// watermark. Every 8-byte load passes through the byte shuffle shuf
+// (shufNative or shufBigEndian), so the same loop folds native float64s
+// and big-endian wire payloads. stop == n when every element passed the
+// gate; otherwise value stop needs the Go slow path (zero, subnormal,
+// out-of-gate, or non-finite) and the caller resumes after it. bins must
+// hold superStripes*nbins lanes.
 //
 //go:noescape
-func superAddChunkAVX2(bins *int64, nbins, eMin int64, xs *float64, n, lo, hi int64) (stop, newLo, newHi int64)
+func superAddChunkAVX2(bins *int64, nbins, eMin int64, xs unsafe.Pointer, n, lo, hi int64, shuf *[32]byte) (stop, newLo, newHi int64)
+
+// The VPSHUFB controls superAddChunkAVX2 applies to its loads: the
+// identity, and a byte reversal within each 8-byte value.
+var (
+	shufNative    = [32]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	shufBigEndian = [32]byte{7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8}
+)
 
 // foldStripesAVX2 is the vectorized stripe fold (kernels_amd64.s):
 // dst[j] = sum of the four stripes of bin j, stripes zeroed — one 256-bit
@@ -80,19 +95,37 @@ func asmKernelFor(n int) *limbKernel {
 // addChunkAsm drives the AVX2 front loop, bouncing out to the Go slow
 // path for each element the packed gate rejects and resuming after it.
 func (s *SuperAccumulator) addChunkAsm(xs []float64) {
-	lo, hi := int64(s.lo), int64(s.hi)
 	for len(xs) > 0 {
-		stop, nlo, nhi := superAddChunkAVX2(
-			&s.bins[0], int64(s.nbins), int64(s.eMin),
-			&xs[0], int64(len(xs)), lo, hi)
-		lo, hi = nlo, nhi
-		if int(stop) == len(xs) {
-			break
+		stop := s.runAVX2(unsafe.Pointer(&xs[0]), len(xs), &shufNative)
+		if stop == len(xs) {
+			return
 		}
 		s.addSlow(xs[stop])
 		xs = xs[stop+1:]
 	}
+}
+
+// addChunkAsmBE is addChunkAsm over a big-endian float64 payload: the
+// loop byte-swaps each value as it loads it.
+func (s *SuperAccumulator) addChunkAsmBE(p []byte) {
+	for len(p) > 0 {
+		n := len(p) / 8
+		stop := s.runAVX2(unsafe.Pointer(&p[0]), n, &shufBigEndian)
+		if stop == n {
+			return
+		}
+		s.addSlow(math.Float64frombits(binary.BigEndian.Uint64(p[8*stop:])))
+		p = p[8*stop+8:]
+	}
+}
+
+// runAVX2 runs the front loop over n values at xs, loaded through shuf,
+// and returns its stop index.
+func (s *SuperAccumulator) runAVX2(xs unsafe.Pointer, n int, shuf *[32]byte) int {
+	stop, lo, hi := superAddChunkAVX2(&s.bins[0], int64(s.nbins), int64(s.eMin),
+		xs, int64(n), int64(s.lo), int64(s.hi), shuf)
 	s.lo, s.hi = int(lo), int(hi)
+	return int(stop)
 }
 
 // foldStripes collapses the bin stripes with the AVX2 fold when this

@@ -5,7 +5,10 @@
 // Hand-written amd64 kernels for the summation hot loops. Three groups:
 //
 //   - superAddChunkAVX2: the superaccumulator front loop, four float64s
-//     per iteration. Exponent extract, gate compare, and the branchless
+//     per iteration, each loaded through a VPSHUFB byte shuffle: the
+//     identity for native float64s, a per-qword byte reversal for
+//     big-endian wire payloads, so both fold with one loop and no decode
+//     pass. Exponent extract, gate compare, and the branchless
 //     signed-significand build are fully vectorized; the four bin updates
 //     are scalar read-modify-write adds (the bins are a scatter — AVX2 has
 //     gathers but no scatters, and a scatter would also have to resolve
@@ -27,14 +30,14 @@
 // enforced by the asm differential tests and the FuzzAsmKernelDifferential
 // target.
 
-// func superAddChunkAVX2(bins *int64, nbins, eMin int64, xs *float64, n, lo, hi int64) (stop, newLo, newHi int64)
+// func superAddChunkAVX2(bins *int64, nbins, eMin int64, xs unsafe.Pointer, n, lo, hi int64, shuf *[32]byte) (stop, newLo, newHi int64)
 //
 // Register map: DI=bins SI=xs DX=n BX=position R8=eMin R9=nbins
-// R10=scalar lo R11=scalar hi R12=mask52 R13=bit52.
+// R10=scalar lo R11=scalar hi R12=mask52 R13=bit52 Y15=load shuffle.
 // Y6/Y7 carry the vector watermark (per-lane running min/max of gated
 // indices), merged with R10/R11 at exit. The scalar tail/bail path updates
 // R10/R11 directly; taking min/max across both at the end is order-free.
-TEXT ·superAddChunkAVX2(SB), NOSPLIT, $0-80
+TEXT ·superAddChunkAVX2(SB), NOSPLIT, $0-88
 	MOVQ bins+0(FP), DI
 	MOVQ nbins+8(FP), R9
 	MOVQ eMin+16(FP), R8
@@ -42,6 +45,8 @@ TEXT ·superAddChunkAVX2(SB), NOSPLIT, $0-80
 	MOVQ n+32(FP), DX
 	MOVQ lo+40(FP), R10
 	MOVQ hi+48(FP), R11
+	MOVQ shuf+56(FP), AX
+	VMOVDQU (AX), Y15          // per-qword byte shuffle applied to every load
 	XORQ BX, BX
 	MOVQ $0x000FFFFFFFFFFFFF, R12
 	MOVQ $0x0010000000000000, R13
@@ -70,7 +75,8 @@ vecloop:
 	CMPQ AX, $4
 	JLT  scalar
 
-	VMOVDQU (SI)(BX*8), Y0     // four raw float64 bit patterns
+	VMOVDQU (SI)(BX*8), Y0
+	VPSHUFB Y15, Y0, Y0        // four float64 bit patterns in native order
 	VPSRLQ  $52, Y0, Y1
 	VPAND   Y8, Y1, Y1         // biased exponent e
 	VPSUBQ  Y9, Y1, Y1         // i = e - eMin
@@ -126,7 +132,9 @@ scalar:
 	// stop so Go's addSlow resolves it (zero/subnormal/out-of-band/Inf).
 	CMPQ BX, DX
 	JGE  done
-	MOVQ (SI)(BX*8), AX        // bv
+	VMOVQ   (SI)(BX*8), X0
+	VPSHUFB X15, X0, X0
+	VMOVQ   X0, AX             // bv
 	MOVQ AX, CX
 	SHRQ $52, CX
 	ANDQ $0x7ff, CX
@@ -178,9 +186,9 @@ lo_done:
 	MOVQ AX, R11
 hi_done:
 	VZEROUPPER
-	MOVQ BX, stop+56(FP)
-	MOVQ R10, newLo+64(FP)
-	MOVQ R11, newHi+72(FP)
+	MOVQ BX, stop+64(FP)
+	MOVQ R10, newLo+72(FP)
+	MOVQ R11, newHi+80(FP)
 	RET
 
 // func foldStripesAVX2(dst, bins *int64, n int64)

@@ -17,5 +17,8 @@ func useAVX2() bool { return false }
 // delegates to the generic loop so the dispatch site stays build-agnostic.
 func (s *SuperAccumulator) addChunkAsm(xs []float64) { s.addChunkGeneric(xs) }
 
+// addChunkAsmBE is never selected on this build either.
+func (s *SuperAccumulator) addChunkAsmBE(p []byte) { s.addChunkGenericBE(p) }
+
 // foldStripes collapses the bin stripes with the portable loop.
 func (s *SuperAccumulator) foldStripes(dst, bins []int64) { foldStripesGeneric(dst, bins) }

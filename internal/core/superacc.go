@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 
@@ -203,17 +204,42 @@ func (s *SuperAccumulator) AddSlice(xs []float64) {
 		mSuperAdds.Add(uint64(len(xs)))
 	}
 	for len(xs) > 0 {
-		if s.room == 0 {
-			s.Spill()
-		}
-		chunk := xs
-		if uint64(len(chunk)) > s.room {
-			chunk = xs[:s.room]
-		}
-		s.room -= uint64(len(chunk))
-		s.addChunk(chunk)
-		xs = xs[len(chunk):]
+		n := s.reserve(len(xs))
+		s.addChunk(xs[:n])
+		xs = xs[n:]
 	}
+}
+
+// AddFloat64sBE adds a float64 wire payload — 8-byte big-endian IEEE-754
+// bit patterns, the encoding of internal/wire — straight from its bytes:
+// each value is byte-swapped as it is loaded, so no []float64 copy
+// exists. Bins, watermarks, spill points and the sticky error are
+// bit-identical to AddSlice over the decoded values. It panics if len(p)
+// is not a multiple of 8; callers validate payloads before folding them.
+func (s *SuperAccumulator) AddFloat64sBE(p []byte) {
+	if len(p)%8 != 0 {
+		panic("core: AddFloat64sBE payload is not a whole number of float64s")
+	}
+	if telemetry.Enabled() {
+		mSuperAdds.Add(uint64(len(p) / 8))
+	}
+	for len(p) > 0 {
+		n := s.reserve(len(p) / 8)
+		s.addChunkBE(p[:8*n])
+		p = p[8*n:]
+	}
+}
+
+// reserve claims room for up to n adds, spilling first if the bins are
+// full, and returns how many it claimed: the chunk the caller may add
+// before the next spill.
+func (s *SuperAccumulator) reserve(n int) int {
+	if s.room == 0 {
+		s.Spill()
+	}
+	k := min(uint64(n), s.room)
+	s.room -= k
+	return int(k)
 }
 
 // addChunk dispatches the inner loop: the AVX2 assembly lane when the
@@ -226,6 +252,15 @@ func (s *SuperAccumulator) addChunk(xs []float64) {
 		return
 	}
 	s.addChunkGeneric(xs)
+}
+
+// addChunkBE is addChunk over a big-endian payload.
+func (s *SuperAccumulator) addChunkBE(p []byte) {
+	if s.avx2 {
+		s.addChunkAsmBE(p)
+		return
+	}
+	s.addChunkGenericBE(p)
 }
 
 // addChunkGeneric is the portable indexed inner loop: per element, one
@@ -243,6 +278,32 @@ func (s *SuperAccumulator) addChunkGeneric(xs []float64) {
 		i := int(bv>>52&0x7ff) - eMin
 		if uint(i) >= uint(nb) {
 			s.addSlow(x)
+			continue
+		}
+		m := int64(bv&(1<<52-1) | 1<<52)
+		sm := int64(bv) >> 63
+		bins[superStripes*i] += (m ^ sm) - sm
+		if i < lo {
+			lo = i
+		}
+		if i > hi {
+			hi = i
+		}
+	}
+	s.lo, s.hi = lo, hi
+}
+
+// addChunkGenericBE is addChunkGeneric reading big-endian bit patterns.
+func (s *SuperAccumulator) addChunkGenericBE(p []byte) {
+	bins := s.bins
+	nb := s.nbins
+	eMin := s.eMin
+	lo, hi := s.lo, s.hi
+	for ; len(p) >= 8; p = p[8:] {
+		bv := binary.BigEndian.Uint64(p)
+		i := int(bv>>52&0x7ff) - eMin
+		if uint(i) >= uint(nb) {
+			s.addSlow(math.Float64frombits(bv))
 			continue
 		}
 		m := int64(bv&(1<<52-1) | 1<<52)

@@ -18,6 +18,14 @@ import (
 // golden, and the recorded spans must actually cover the round: a root
 // allreduce span, per-attempt spans, cross-rank recv spans parented under
 // the senders' wire contexts, and a recovery span for the crashed rank.
+//
+// Rank 3 crashes on its first outgoing frame — its contribution — so the
+// leader can never take that contribution live and must recover it from
+// the checkpoint. A later crash point (after=1) leaves a race: when the
+// contribution frame survives the injector and the leader reaches rank 3
+// before rank 3 sends its second frame (a retransmit once its 2 ms ack
+// timer fires), the contribution is received live, the result is still
+// bit-identical, and no recovery span exists.
 func TestAllreduceFTBitIdenticalWithTracingOn(t *testing.T) {
 	golden := chaosGolden(t)
 
@@ -27,7 +35,7 @@ func TestAllreduceFTBitIdenticalWithTracingOn(t *testing.T) {
 	defer trace.Reset()
 
 	outs, werr := runChaosAllreduce(t,
-		"seed=13;drop:p=0.1;delay:p=0.2,d=500us;dup:p=0.15;corrupt:p=0.1;crash:rank=3,after=1")
+		"seed=13;drop:p=0.1;delay:p=0.2,d=500us;dup:p=0.15;corrupt:p=0.1;crash:rank=3,after=0")
 	if werr == nil || !faults.OnlyCrashes(werr) {
 		t.Fatalf("world error: %v (want injected crashes only)", werr)
 	}

@@ -142,7 +142,7 @@ func (aud *auditState) journalOp(name string, o op) error {
 		}
 		err = aud.journal.Append(&audit.JournalEntry{Kind: audit.JournalHP, Name: name, Payload: env})
 	default:
-		err = aud.journal.AppendFloats(name, o.xs)
+		err = aud.journal.Append(&audit.JournalEntry{Kind: audit.JournalFloats, Name: name, Payload: o.payload})
 	}
 	if err != nil {
 		return err

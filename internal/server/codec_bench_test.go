@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
 
 // Codec layer benchmarks on 4096-value frames, the frame size the
 // ingest-bulk workload streams: the client-side encode, the server-side
-// decode (length bound, CRC and float64 payload with its finiteness check),
+// decode (length bound, CRC and the float64 payload's finiteness scan),
 // and the per-frame journal append an audited ingest pays. The journal
 // writes to the null device so the number is codec cost, not disk.
 
@@ -45,13 +46,12 @@ func (r *loopReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// BenchmarkFrameDecode decodes each frame into one reused float buffer, as
-// the ingest handler does, so a per-frame allocation on that path shows
-// here.
+// BenchmarkFrameDecode reads and verifies each frame and scans its payload
+// for non-finite values, as the ingest handler does before folding the
+// payload in place, so a per-frame allocation on that path shows here.
 func BenchmarkFrameDecode(b *testing.B) {
 	frame := AppendFloatFrame(nil, benchValues())
 	dec := wire.NewDecoder(bufio.NewReader(&loopReader{b: frame}), &IngestFrames, MaxFramePayload)
-	var xs []float64
 	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -59,7 +59,7 @@ func BenchmarkFrameDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if xs, err = frameFloats(xs, f.Payload); err != nil {
+		if err = wire.CheckFloat64s(f.Payload, core.ErrNotFinite); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -72,9 +72,10 @@ func BenchmarkJournalAppend(b *testing.B) {
 	}
 	defer j.Close()
 	aud := &auditState{journal: j}
-	o := op{xs: benchValues()}
-	b.SetBytes(int64(8 * len(o.xs)))
+	o := op{payload: wire.AppendFloat64s(nil, benchValues())}
+	b.SetBytes(int64(len(o.payload)))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := aud.journalOp("bench", o); err != nil {
 			b.Fatal(err)

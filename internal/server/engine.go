@@ -31,12 +31,13 @@ type engine struct {
 	restoredErr error
 }
 
-// op is one unit of ingest: exactly one of xs (a float batch) or hp (an HP
-// partial) is set.
+// op is one unit of ingest: an HP partial when hp is set, else a float
+// batch as its wire payload (8-byte big-endian IEEE-754 values) — the
+// only copy of the values, folded and journaled in place.
 type op struct {
-	xs   []float64
-	hp   *core.HP
-	tctx trace.Context // ingest span context; the fold becomes its child
+	payload []byte
+	hp      *core.HP
+	tctx    trace.Context // ingest span context; the fold becomes its child
 }
 
 // shard is one partial sum and its counters, owned by the holder of its
@@ -113,9 +114,10 @@ func (e *engine) fold(o op, wait bool) error {
 		sh.b.AddHP(o.hp)
 		sh.frames++
 	} else {
-		sp.Attr(trace.Int("values", int64(len(o.xs))))
-		sh.b.AddSlice(o.xs)
-		sh.adds += uint64(len(o.xs))
+		n := len(o.payload) / 8
+		sp.Attr(trace.Int("values", int64(n)))
+		sh.b.AddFloat64sBE(o.payload)
+		sh.adds += uint64(n)
 		sh.frames++
 	}
 	sp.End()

@@ -108,17 +108,17 @@ func AppendTraceFrame(buf []byte, ctx trace.Context) []byte {
 	return wire.End(buf, start)
 }
 
-// frameFloats decodes a FrameFloat64 payload into out (reused if capacity
-// allows). Non-finite values are rejected here, at admission, so a poisoned
-// frame cannot wedge a named accumulator into a permanent sticky-error
-// state; range errors (overflow/underflow of the HP format) remain per-
-// accumulator sticky errors, as in the rest of the repo.
-func frameFloats(out []float64, payload []byte) ([]float64, error) {
-	xs, err := wire.Float64s(out, payload, core.ErrNotFinite)
-	if err != nil {
-		return nil, fmt.Errorf("server: float frame: %w", err)
+// checkFloatFrame validates a FrameFloat64 payload without decoding it:
+// the frame is folded and journaled from these bytes. Non-finite values
+// are rejected here, at admission, so a poisoned frame cannot wedge a
+// named accumulator into a permanent sticky-error state; range errors
+// (overflow/underflow of the HP format) remain per-accumulator sticky
+// errors, as in the rest of the repo.
+func checkFloatFrame(payload []byte) error {
+	if err := wire.CheckFloat64s(payload, core.ErrNotFinite); err != nil {
+		return fmt.Errorf("server: float frame: %w", err)
 	}
-	return xs, nil
+	return nil
 }
 
 // frameTrace decodes a FrameTrace payload.

@@ -29,7 +29,7 @@ func TestFloatFrameRoundTrip(t *testing.T) {
 		if f.Type != FrameFloat64 {
 			t.Fatalf("type %q", f.Type)
 		}
-		got, err := frameFloats(nil, f.Payload)
+		got, err := wire.Float64s(nil, f.Payload, core.ErrNotFinite)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestFloatsRejectsNonFinite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := frameFloats(nil, f.Payload); !errors.Is(err, core.ErrNotFinite) {
+		if err := wire.CheckFloat64s(f.Payload, core.ErrNotFinite); !errors.Is(err, core.ErrNotFinite) {
 			t.Fatalf("%v: err=%v, want ErrNotFinite", bad, err)
 		}
 	}

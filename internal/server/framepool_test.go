@@ -14,7 +14,7 @@ import (
 	"repro/internal/rng"
 )
 
-// A request's decode buffer is reused frame to frame, so every reader of a
+// A request's frame buffer is reused frame to frame, so every reader of a
 // frame's values — each of three replicas' folds and the journal — must
 // be done with them before the next frame is decoded, through 429
 // rejections, Ingest-Id skips and a delete of another accumulator

@@ -83,7 +83,7 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 			switch fr.Type {
 			case FrameFloat64:
-				xs, err := frameFloats(nil, fr.Payload)
+				xs, err := wire.Float64s(nil, fr.Payload, core.ErrNotFinite)
 				if err != nil {
 					return // non-finite payload rejected at admission
 				}

@@ -179,33 +179,37 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingestFrame is one decoded, validated frame of a request body; Type
-// says which of XS (FrameFloat64), HP (FrameHP, already in the target
-// format) or Ctx (FrameTrace) carries it. XS is the request's decode
-// buffer, overwritten by the next frame: it is valid only until sink
-// returns.
+// says which of Payload (FrameFloat64), HP (FrameHP, already in the
+// target format) or Ctx (FrameTrace) carries it. Payload is the verified
+// float64 payload in the frame decoder's buffer, overwritten by the next
+// frame: it is valid only until sink returns.
 type ingestFrame struct {
-	Type byte
-	XS   []float64
-	HP   *core.HP
-	Ctx  trace.Context
+	Type    byte
+	Payload []byte
+	HP      *core.HP
+	Ctx     trace.Context
 }
+
+// values is the number of float64s the frame carries (0 unless FrameFloat64).
+func (f *ingestFrame) values() int { return len(f.Payload) / 8 }
 
 // readFrames is the one frame-reading loop behind both ingest endpoints.
 // It re-arms the FrameReadTimeout read deadline before every frame, so a
 // client that stalls mid-body cannot hold the handler; caps the body at
 // MaxRequestBytes, each payload at MaxFramePayload and the data frames at
 // MaxRequestFrames; decodes each frame (a FrameHP must be in format p, a
-// float frame lands in one buffer reused frame to frame) and hands it to
-// sink. It returns nil at a clean end of stream, else the HTTP status and
-// error that ended the request: 408 for a stall, 413 for a cap, 400 for a
-// bad frame, or whatever sink returned.
+// float frame's payload is scanned for NaN and ±Inf while it is still in
+// cache from the CRC, and is never decoded) and hands it to sink, so a
+// non-finite value is a 400 before anything is folded. It returns nil at
+// a clean end of stream, else the HTTP status and error that ended the
+// request: 408 for a stall, 413 for a cap, 400 for a bad frame, or
+// whatever sink returned.
 func (s *Server) readFrames(w http.ResponseWriter, r *http.Request, p core.Params,
 	sink func(ingestFrame) (int, error)) (int, error) {
 	rc := http.NewResponseController(w)
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
 	dec := wire.NewDecoder(bufio.NewReader(body), &IngestFrames, s.cfg.MaxFramePayload)
 	frames := 0
-	var xs []float64 // float decode buffer, reused frame to frame
 	for {
 		// ErrNotSupported (e.g. an httptest.ResponseRecorder) just means no
 		// deadline enforcement, which is fine for in-process use.
@@ -248,8 +252,8 @@ func (s *Server) readFrames(w http.ResponseWriter, r *http.Request, p core.Param
 					fr.HP.Params().N, fr.HP.Params().K, p.N, p.K)
 			}
 		default:
-			xs, err = frameFloats(xs, f.Payload)
-			fr.XS = xs
+			err = checkFloatFrame(f.Payload)
+			fr.Payload = f.Payload
 		}
 		if err != nil {
 			mBadFrames.Inc()
@@ -321,21 +325,21 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 			// into the sum. It still counts toward frames_accepted — that
 			// number reports the id's owned prefix.
 			res.FramesAccepted++
-			res.ValuesAccepted += len(f.XS)
+			res.ValuesAccepted += f.values()
 			return 0, nil
 		}
 		var err error
 		if f.Type == FrameHP {
 			err = a.AddHPTraced(f.HP, span.Context())
 		} else {
-			err = a.AddFloatsTraced(f.XS, span.Context())
+			err = a.ingest(op{payload: f.Payload, tctx: span.Context()})
 		}
 		switch {
 		case err == nil:
 			res.FramesAccepted++
-			res.ValuesAccepted += len(f.XS)
+			res.ValuesAccepted += f.values()
 			mFrames.Inc()
-			mValues.Add(uint64(len(f.XS)))
+			mValues.Add(uint64(f.values()))
 			a.noteAccepted(ingestID, res.FramesAccepted)
 			return 0, nil
 		case errors.Is(err, ErrBusy):
@@ -388,9 +392,9 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
 		case FrameHP:
 			b.AddHP(f.HP)
 		default:
-			b.AddSlice(f.XS)
-			adds += uint64(len(f.XS))
-			mValues.Add(uint64(len(f.XS)))
+			b.AddFloat64sBE(f.Payload)
+			adds += uint64(f.values())
+			mValues.Add(uint64(f.values()))
 		}
 		frames++
 		mFrames.Inc()

@@ -45,9 +45,8 @@ func postBulk(tb testing.TB, h http.Handler, body []byte) {
 }
 
 // A data frame must cost the server a small, fixed amount of heap: the
-// request's own bookkeeping, and its one reused decode buffer, spread over
-// its frames — never a fresh decode buffer per frame (4096 values are
-// 32 KiB). Each POST is followed by a certifying read, as a client's
+// request's own bookkeeping, and its one reused frame buffer, spread over
+// its frames — never a fresh buffer per frame (4096 values are 32 KiB). Each POST is followed by a certifying read, as a client's
 // stream-then-read does.
 func TestIngestSteadyStateHeapPerFrame(t *testing.T) {
 	s, a := bulkServer(t)

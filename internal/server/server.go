@@ -6,11 +6,13 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // flight is the server's flight-recorder ring: backpressure rejections,
@@ -293,6 +295,10 @@ type Accumulator struct {
 	resMu      sync.Mutex
 	resume     map[string]int
 	resumeFIFO []string
+
+	// addBuf holds one idle AddFloats encode buffer (nil while a caller
+	// has it); buffers over MaxFramePayload are not kept.
+	addBuf atomic.Pointer[[]byte]
 }
 
 func newAccumulator(name string, p core.Params, cfg Config, aud *auditState) *Accumulator {
@@ -363,13 +369,30 @@ func (a *Accumulator) ingest(o op) error {
 }
 
 // AddFloats folds one frame of values into every active replica before it
-// returns; the caller keeps the slice.
-func (a *Accumulator) AddFloats(xs []float64) error { return a.ingest(op{xs: xs}) }
+// returns; the caller keeps the slice. A NaN or ±Inf anywhere rejects the
+// whole frame with an error wrapping core.ErrNotFinite, as the HTTP ingest
+// path does, before any replica or the journal sees it.
+func (a *Accumulator) AddFloats(xs []float64) error { return a.AddFloatsTraced(xs, trace.Context{}) }
 
 // AddFloatsTraced is AddFloats carrying a trace context: the fold becomes
-// a child span of tctx. The invalid context costs nothing.
+// a child span of tctx. The invalid context costs nothing. The values are
+// encoded once into a wire payload, which then takes the ingest path of a
+// streamed frame. The encode buffer is cached on the accumulator, so a
+// caller adding frame after frame does not allocate.
 func (a *Accumulator) AddFloatsTraced(xs []float64, tctx trace.Context) error {
-	return a.ingest(op{xs: xs, tctx: tctx})
+	bp := a.addBuf.Swap(nil)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	*bp = wire.AppendFloat64s((*bp)[:0], xs)
+	err := checkFloatFrame(*bp)
+	if err == nil {
+		err = a.ingest(op{payload: *bp, tctx: tctx})
+	}
+	if cap(*bp) <= MaxFramePayload {
+		a.addBuf.Store(bp)
+	}
+	return err
 }
 
 // AddHP folds one HP partial sum (an exact hand-off from another

@@ -14,6 +14,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // Golden wire bytes. Each test encodes a fixed input and compares the bytes
@@ -189,7 +190,7 @@ func TestGoldenJournal(t *testing.T) {
 	if err := aud.journalSeed("acc", engineState{sum: h, adds: 21, frames: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if err := aud.journalOp("acc", op{xs: xs}); err != nil {
+	if err := aud.journalOp("acc", op{payload: wire.AppendFloat64s(nil, xs)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

@@ -11,7 +11,8 @@
 // Each format keeps its own bytes and its own error sentinels: decode
 // failures wrap the sentinels the caller passes in, so errors.Is and the
 // owning package's message prefix survive. The package imports only the
-// standard library, so internal/core can use it.
+// standard library and the feature probe internal/cpu, so internal/core
+// can use it.
 package wire
 
 import (
@@ -271,30 +272,66 @@ func (c *Cursor) Trailer(bad error) {
 
 // AppendFloat64s appends xs to buf as a float64 payload, growing buf once.
 func AppendFloat64s(buf []byte, xs []float64) []byte {
-	buf = slices.Grow(buf, 8*len(xs))
-	for _, x := range xs {
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(x))
-	}
+	n := len(buf)
+	buf = slices.Grow(buf, 8*len(xs))[:n+8*len(xs)]
+	putFloat64s(buf[n:], xs)
 	return buf
+}
+
+// putFloat64sGeneric writes xs into dst (8*len(xs) bytes) as big-endian
+// bit patterns: the portable encoder, and the tail of the vector one.
+func putFloat64sGeneric(dst []byte, xs []float64) {
+	dst = dst[:8*len(xs)]
+	for i, x := range xs {
+		binary.BigEndian.PutUint64(dst[8*i:], math.Float64bits(x))
+	}
 }
 
 // expMask selects a float64's exponent bits; all ones means NaN or ±Inf.
 const expMask = 0x7ff0_0000_0000_0000
 
-// Float64s decodes a float64 payload into dst (reused if its capacity
-// allows). A length that is not a multiple of 8 is an error, and so is a
-// NaN or ±Inf: that error names the value's index and wraps notFinite.
-func Float64s(dst []float64, p []byte, notFinite error) ([]float64, error) {
+// CheckFloat64s validates a float64 payload without decoding it: a length
+// that is not a multiple of 8 is an error, and so is a NaN or ±Inf, whose
+// error names the first such value's index and wraps notFinite. The scan
+// is branch-free: (bits&expMask) + 1<<52 carries into bit 63 exactly when
+// the exponent field is all ones, so OR-ing that over every value leaves
+// bit 63 set iff some value is not finite.
+func CheckFloat64s(p []byte, notFinite error) error {
 	if len(p)%8 != 0 {
-		return nil, fmt.Errorf("float64 payload of %d bytes is not a multiple of 8", len(p))
+		return fmt.Errorf("float64 payload of %d bytes is not a multiple of 8", len(p))
+	}
+	var bad uint64
+	q := p
+	for ; len(q) >= 32; q = q[32:] {
+		bad |= (binary.BigEndian.Uint64(q)&expMask + 1<<52) |
+			(binary.BigEndian.Uint64(q[8:])&expMask + 1<<52) |
+			(binary.BigEndian.Uint64(q[16:])&expMask + 1<<52) |
+			(binary.BigEndian.Uint64(q[24:])&expMask + 1<<52)
+	}
+	for ; len(q) >= 8; q = q[8:] {
+		bad |= binary.BigEndian.Uint64(q)&expMask + 1<<52
+	}
+	if bad>>63 == 0 {
+		return nil
+	}
+	n := len(p) / 8
+	for i := 0; i < n; i++ {
+		if binary.BigEndian.Uint64(p[8*i:])&expMask == expMask {
+			return fmt.Errorf("value %d of %d: %w", i, n, notFinite)
+		}
+	}
+	panic("wire: CheckFloat64s scan found no non-finite value")
+}
+
+// Float64s decodes a float64 payload into dst (reused if its capacity
+// allows), after CheckFloat64s accepts it.
+func Float64s(dst []float64, p []byte, notFinite error) ([]float64, error) {
+	if err := CheckFloat64s(p, notFinite); err != nil {
+		return nil, err
 	}
 	dst = slices.Grow(dst[:0], len(p)/8)[:len(p)/8]
 	for i := range dst {
-		bits := binary.BigEndian.Uint64(p[8*i:])
-		if bits&expMask == expMask {
-			return nil, fmt.Errorf("value %d of %d: %w", i, len(dst), notFinite)
-		}
-		dst[i] = math.Float64frombits(bits)
+		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(p[8*i:]))
 	}
 	return dst, nil
 }

@@ -3,8 +3,10 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -225,6 +227,63 @@ func TestFloat64s(t *testing.T) {
 	}
 	if _, err := Float64s(nil, p[:9], errBad); err == nil {
 		t.Fatal("ragged payload accepted")
+	}
+}
+
+// TestCheckFloat64s: the branch-free scan must reject exactly the payloads
+// Float64s rejects, naming the first non-finite value with the same text,
+// for a non-finite value at every position of every length up to 67 —
+// across the four-value unrolled body and the tail.
+func TestCheckFloat64s(t *testing.T) {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Float64frombits(0xfff0_0000_0000_0001)}
+	finite := []float64{0, math.Copysign(0, -1), 5e-324, math.MaxFloat64, -math.MaxFloat64, 0x1p1023, -1.5}
+	for n := 0; n <= 67; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = finite[i%len(finite)]
+		}
+		if err := CheckFloat64s(AppendFloat64s(nil, xs), errBad); err != nil {
+			t.Fatalf("length %d: finite payload rejected: %v", n, err)
+		}
+		for i := 0; i < n; i++ {
+			ys := append([]float64(nil), xs...)
+			ys[i] = specials[i%len(specials)]
+			if i+2 < n {
+				ys[i+2] = math.Inf(1) // a later bad value must not be the one named
+			}
+			p := AppendFloat64s(nil, ys)
+			err := CheckFloat64s(p, errBad)
+			_, derr := Float64s(nil, p, errBad)
+			want := fmt.Sprintf("value %d of %d: %v", i, n, errBad)
+			if !errors.Is(err, errBad) || err.Error() != want || derr == nil || derr.Error() != want {
+				t.Fatalf("length %d, bad value at %d: check %v, decode %v, want %q", n, i, err, derr, want)
+			}
+		}
+	}
+	if err := CheckFloat64s(make([]byte, 17), errBad); err == nil || errors.Is(err, errBad) {
+		t.Fatalf("ragged payload: %v", err)
+	}
+}
+
+// TestAppendFloat64sVectorMatchesScalar: the dispatched encoder (the AVX2
+// byte shuffle where available) against the portable loop, on random bit
+// patterns of every length 0..67 appended behind 0..7 bytes of prefix.
+func TestAppendFloat64sVectorMatchesScalar(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for n := 0; n <= 67; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Float64frombits(r.Uint64())
+		}
+		for pre := 0; pre < 8; pre++ {
+			prefix := bytes.Repeat([]byte{0xa5}, pre)
+			got := AppendFloat64s(bytes.Clone(prefix), xs)
+			want := append(bytes.Clone(prefix), make([]byte, 8*n)...)
+			putFloat64sGeneric(want[pre:], xs)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("length %d, prefix %d:\n got %x\nwant %x", n, pre, got, want)
+			}
+		}
 	}
 }
 
